@@ -31,7 +31,6 @@ from .families import (
     g4k,
     generate,
     h_graph,
-    high_td_by_forbidden,
     k_net,
     path,
     pattern,

@@ -6,6 +6,18 @@ tree-depth; the transform turns the open neighborhood into a clique and
 deletes the vertex. Minor-criticality only needs single-step minors: if some
 deeper minor dropped the depth, monotonicity means a single deletion or
 contraction on the way there already did.
+
+Each single-step minor h of g has td(g) - 1 <= td(h) <= td(g), so its depth
+drop is 0 or 1 and one decision at cutoff td(g) - 1 settles it. The upper
+bound is minor-monotonicity. The lower bound, in elimination forests (every
+edge joins an ancestor and a descendant; depth = number of levels):
+
+* h = g - v: v as a new root over a forest of h gives a forest of g;
+* h = g - uv: so does u over a forest of g - u, a subgraph of h;
+* h = g/uv: split the merged node w of a forest of h into the chain u -> v,
+  u in w's place and w's children below v. A neighbour of u or v was one
+  of w, so it is an ancestor of u or a descendant of v, and uv is a
+  parent-child pair; only paths through w grow, by one level.
 """
 
 from __future__ import annotations
@@ -14,8 +26,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from .graphs import Graph
-from .labelings import T_UNIQUE_MAX_N, T_UNIQUE_MAX_TD, t_uniqueness
-from .solver import MAX_VERTICES, tree_depth, tree_depth_decision
+from .labelings import T_UNIQUE_MAX_N, T_UNIQUE_MAX_TD, _t_uniqueness
+from .solver import MAX_VERTICES, _MinorTable, tree_depth, tree_depth_decision
 
 
 def is_one_unique_vertex(g: Graph, v: int) -> bool:
@@ -24,12 +36,11 @@ def is_one_unique_vertex(g: Graph, v: int) -> bool:
 
 
 def one_unique_vertices(g: Graph) -> tuple[bool, ...]:
-    if g.n == 0:
-        return ()
-    value = tree_depth(g).value
-    return tuple(
-        tree_depth_decision(g.star_clique_transform(v), value - 1) for v in range(g.n)
-    )
+    return _one_unique(g, tree_depth(g).value)
+
+
+def _one_unique(g: Graph, value: int) -> tuple[bool, ...]:
+    return tuple(tree_depth_decision(g.star_clique_transform(v), value - 1) for v in range(g.n))
 
 
 def is_one_unique(g: Graph) -> bool:
@@ -37,35 +48,14 @@ def is_one_unique(g: Graph) -> bool:
     return all(one_unique_vertices(g))
 
 
-def _all_edges_lower(g: Graph, value: int) -> bool:
-    return all(tree_depth_decision(g.delete_edge(u, v), value - 1) for u, v in g.edges())
-
-
-def _all_vertices_lower(g: Graph, value: int) -> bool:
-    return all(tree_depth_decision(g.delete_vertex(v), value - 1) for v in range(g.n))
-
-
-def _contractions_lower(g: Graph, value: int, skip_one_unique: bool) -> bool:
-    if skip_one_unique:
-        ou = one_unique_vertices(g)
-        edges = [(u, v) for u, v in g.edges() if not ou[u] and not ou[v]]
-    else:
-        edges = g.edges()
-    return all(tree_depth_decision(g.contract_edge(u, v), value - 1) for u, v in edges)
-
-
 def is_subgraph_critical(g: Graph) -> bool:
     """Every single edge deletion strictly lowers tree-depth."""
-    if g.n == 0:
-        raise ValueError("criticality is defined for nonempty graphs")
-    return _all_edges_lower(g, tree_depth(g).value)
+    return all(d for _, _, d in _MinorTable(g).edge_deletions())
 
 
 def is_induced_subgraph_critical(g: Graph) -> bool:
     """Every single vertex deletion strictly lowers tree-depth."""
-    if g.n == 0:
-        raise ValueError("criticality is defined for nonempty graphs")
-    return _all_vertices_lower(g, tree_depth(g).value)
+    return all(_MinorTable(g).vertex_deletions())
 
 
 def is_minor_critical(g: Graph, shortcut: bool = False) -> bool:
@@ -76,14 +66,20 @@ def is_minor_critical(g: Graph, shortcut: bool = False) -> bool:
     are skipped (they are guaranteed to lower the depth); the search harness
     cross-validates the shortcut against the full check on small graphs.
     """
-    if g.n == 0:
-        raise ValueError("criticality is defined for nonempty graphs")
-    value = tree_depth(g).value
-    return (
-        _all_edges_lower(g, value)
-        and _all_vertices_lower(g, value)
-        and _contractions_lower(g, value, skip_one_unique=shortcut)
-    )
+    return _minor_critical(_MinorTable(g), shortcut)[0]
+
+
+def _minor_critical(table: _MinorTable, shortcut: bool) -> tuple[bool, tuple[bool, ...] | None]:
+    """Edge, then vertex, then contraction stage, stopping at the first minor
+    that keeps the depth; also the 1-unique flags if the shortcut made them."""
+    if not (all(d for _, _, d in table.edge_deletions()) and all(table.vertex_deletions())):
+        return False, None
+    if not shortcut:
+        return all(d for _, _, d in table.contractions()), None
+    g = table.g
+    ou = _one_unique(g, table.value)
+    kept = [(u, v) for u, v in g.edges() if not ou[u] and not ou[v]]
+    return all(d for _, _, d in table.contractions(kept)), ou
 
 
 def critical_spanning_subgraph(g: Graph) -> Graph:
@@ -91,16 +87,12 @@ def critical_spanning_subgraph(g: Graph) -> Graph:
     delete the first edge (ascending (u, v) order) whose removal keeps
     tree-depth unchanged, restarting after each deletion."""
     value = tree_depth(g).value
-    h = g
-    changed = True
-    while changed:
-        changed = False
-        for u, v in h.edges():
-            if not tree_depth_decision(h.delete_edge(u, v), value - 1):
-                h = h.delete_edge(u, v)
-                changed = True
-                break
-    return h
+    while True:
+        table = _MinorTable(g, value)
+        spare = next(((u, v) for u, v, d in table.edge_deletions() if not d), None)
+        if spare is None:
+            return g
+        g = g.delete_edge(*spare)
 
 
 @dataclass(frozen=True)
@@ -165,29 +157,19 @@ class CriticalityReport:
 def criticality_report(g: Graph, max_vertices: int = MAX_VERTICES) -> CriticalityReport:
     if g.n == 0:
         raise ValueError("criticality report needs a nonempty graph")
-    witness = tree_depth(g, max_vertices)
-    value = witness.value
-    edge_deltas = tuple(
-        (u, v, value - tree_depth(g.delete_edge(u, v), max_vertices).value)
-        for u, v in g.edges()
-    )
-    contraction_deltas = tuple(
-        (u, v, value - tree_depth(g.contract_edge(u, v), max_vertices).value)
-        for u, v in g.edges()
-    )
-    vertex_deltas = tuple(
-        value - tree_depth(g.delete_vertex(v), max_vertices).value for v in range(g.n)
-    )
-    ou = one_unique_vertices(g)
+    table = _MinorTable(g, max_vertices=max_vertices)
+    value = table.value
+    edge_deltas = tuple(table.edge_deletions())
+    contraction_deltas = tuple(table.contractions())
+    vertex_deltas = tuple(table.vertex_deletions())
+    ou = _one_unique(g, value)
     if g.is_complete() or (g.n <= T_UNIQUE_MAX_N and value <= T_UNIQUE_MAX_TD):
-        min_t = tuple(t_uniqueness(g, v) for v in range(g.n))
+        min_t = tuple(_t_uniqueness(g, v, value) for v in range(g.n))
     else:
         min_t = (None,) * g.n
-    sub_critical = all(d[2] >= 1 for d in edge_deltas)
-    ind_critical = all(d >= 1 for d in vertex_deltas)
-    minor_critical = sub_critical and ind_critical and all(
-        d[2] >= 1 for d in contraction_deltas
-    )
+    sub_critical = all(d for _, _, d in edge_deltas)
+    ind_critical = all(vertex_deltas)
+    minor_critical = sub_critical and ind_critical and all(d for _, _, d in contraction_deltas)
     return CriticalityReport(
         td=value,
         surplus=g.n - value,

@@ -162,12 +162,8 @@ def generate(spec: FamilySpec) -> Graph:
 
 
 def fk_free(g: Graph, k: int) -> bool:
-    """True when g avoids every member of F_k as an induced subgraph."""
+    """True when g avoids every member of F_k as an induced subgraph, which
+    decides td(g) >= n - k without the solver."""
     if k not in FORBIDDEN_LISTS:
         raise ValueError(f"forbidden list implemented for k in {sorted(FORBIDDEN_LISTS)}")
     return not any(contains_induced(g, pattern(p)) for p in FORBIDDEN_LISTS[k])
-
-
-def high_td_by_forbidden(g: Graph, k: int) -> bool:
-    """Decide td(g) >= n - k without the solver, via the F_k list."""
-    return fk_free(g, k)

@@ -203,9 +203,14 @@ def t_uniqueness(g: Graph, v: int) -> int | None:
     """
     if not 0 <= v < g.n:
         raise ValueError(f"no vertex {v}")
+    return _t_uniqueness(g, v, None)
+
+
+def _t_uniqueness(g: Graph, v: int, value: int | None) -> int | None:
+    """t_uniqueness where ``value`` is td(g) if the caller knows it, else None."""
     if g.is_complete():
         return 1
-    value = tree_depth(g).value
+    value = tree_depth(g).value if value is None else value
     if g.n > T_UNIQUE_MAX_N or value > T_UNIQUE_MAX_TD:
         raise BudgetError(
             f"t_uniqueness capped at n <= {T_UNIQUE_MAX_N}, td <= {T_UNIQUE_MAX_TD}"

@@ -21,14 +21,10 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .criticality import (
-    CriticalityReport,
-    criticality_report,
-    one_unique_vertices,
-)
+from .criticality import CriticalityReport, _minor_critical, _one_unique, criticality_report
 from .errors import BudgetError
 from .graphs import Graph, canonical_form, edge_bit_positions, parse_graph6
-from .solver import MAX_VERTICES, tree_depth_decision
+from .solver import MAX_VERTICES, _MinorTable, tree_depth_decision
 
 ENUM_MAX_N = 7
 
@@ -174,9 +170,9 @@ def _screen_one(args: tuple[str, int, bool, bool, bool, int]) -> dict[str, Any]:
     """Screen one graph6 line; returns a plain dict so it pickles cheaply.
 
     Stage order: budget, connectivity filter, td == target (decision with
-    cutoff), edge deletions, vertex deletions, contractions (skipping edges
-    at 1-unique vertices, cross-validated against the full scan on small
-    graphs), then 1-uniqueness annotation and the full report for hits.
+    cutoff), the minor table's edge, vertex and contraction stages (skipping
+    edges at 1-unique vertices, cross-validated against the full scan on
+    small graphs), then 1-uniqueness annotation and the full report for hits.
     """
     g6, target, critical, non_one_unique, connected_only, budget = args
     g = parse_graph6(g6)
@@ -191,36 +187,19 @@ def _screen_one(args: tuple[str, int, bool, bool, bool, int]) -> dict[str, Any]:
     out["at_td"] = True
     ou = None
     if critical:
-        if not all(
-            tree_depth_decision(g.delete_edge(u, v), target - 1) for u, v in g.edges()
-        ):
-            return out
-        if not all(
-            tree_depth_decision(g.delete_vertex(v), target - 1) for v in range(g.n)
-        ):
-            return out
-        ou = one_unique_vertices(g)
-        contractions_ok = all(
-            tree_depth_decision(g.contract_edge(u, v), target - 1)
-            for u, v in g.edges()
-            if not ou[u] and not ou[v]
-        )
-        if g.n <= _CROSS_VALIDATE_MAX_N:
-            full = all(
-                tree_depth_decision(g.contract_edge(u, v), target - 1)
-                for u, v in g.edges()
-            )
-            if full != contractions_ok:
-                raise RuntimeError(
-                    f"contraction shortcut disagrees with full check on {g6}"
-                )
-        if not contractions_ok:
+        table = _MinorTable(g, target)
+        minor_critical, ou = _minor_critical(table, shortcut=True)
+        # ou is set once the contraction stage has run
+        if ou is not None and g.n <= _CROSS_VALIDATE_MAX_N:
+            if all(d for _, _, d in table.contractions()) != minor_critical:
+                raise RuntimeError(f"contraction shortcut disagrees with full check on {g6}")
+        if not minor_critical:
             return out
         out["critical"] = True
         out["counterexample"] = not all(ou)
     if non_one_unique:
         if ou is None:
-            ou = one_unique_vertices(g)
+            ou = _one_unique(g, target)
         if all(ou):
             return out
     report = criticality_report(g)

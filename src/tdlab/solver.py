@@ -20,6 +20,7 @@ order of smallest vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import BudgetError
 from .graphs import Graph, bits, mask_components
@@ -46,8 +47,9 @@ class FeasibilityCheck:
 class _SubsetSolver:
     """Memoized exact tree-depth over vertex subsets of one graph.
 
-    One instance per tree_depth/tree_depth_decision call; no state is shared
-    across calls, so concurrent use on different graphs is safe.
+    One instance per tree_depth/tree_depth_decision call or minor table (whose
+    child solvers share it); no state is shared across calls, so concurrent
+    use on different graphs is safe.
     """
 
     def __init__(self, g: Graph):
@@ -112,6 +114,60 @@ class _SubsetSolver:
                         break
         self.decision_memo[key] = out
         return out
+
+
+class _EdgeDeletedSolver(_SubsetSolver):
+    """Decision solver for g - uv on top of the solver of g. A subset missing
+    u or v induces the same graph in both, so the parent's exact (and shared)
+    td answers it. A subset holding both loses at most one level, so a parent
+    depth already memoized answers it unless it is exactly k + 1."""
+
+    def __init__(self, parent: _SubsetSolver, g: Graph, u: int, v: int):
+        super().__init__(g.delete_edge(u, v))
+        self.parent, self.both = parent, (1 << u) | (1 << v)
+
+    def td_le(self, mask: int, k: int) -> bool:
+        if mask & self.both != self.both:
+            return mask.bit_count() <= k or self.parent.td(mask) <= k
+        known = self.parent.memo.get(mask)
+        if known is not None and known != k + 1:
+            return known <= k
+        return super().td_le(mask, k)
+
+
+class _MinorTable:
+    """Depth drops of the single-step minors of g, as three lazy stages. Each
+    drop is 0 or 1 (proof in the criticality module), so each is a decision.
+
+    Vertex deletions ask the parent solver of g, whose exact solve of g has
+    mostly memoized every g - v already; edge deletions run on it through
+    _EdgeDeletedSolver; contractions are one cutoff decision each. Given
+    ``value`` = td(g), the parent only solves the subsets it is asked about.
+    """
+
+    def __init__(self, g: Graph, value: int | None = None, max_vertices: int = MAX_VERTICES):
+        self.g, self.solver = g, _SubsetSolver(g)
+        if value is None:
+            if g.n == 0:
+                raise ValueError("criticality is defined for nonempty graphs")
+            _check_budget(g, max_vertices)
+            value = self.solver.td(g.full_mask())
+        self.value = value
+
+    def edge_deletions(self) -> Iterator[tuple[int, int, int]]:
+        g, k = self.g, self.value - 1
+        for u, v in g.edges():
+            yield u, v, int(_EdgeDeletedSolver(self.solver, g, u, v).td_le(g.full_mask(), k))
+
+    def vertex_deletions(self) -> Iterator[int]:
+        for v in range(self.g.n):
+            yield int(self.solver.td_le(self.g.full_mask() ^ (1 << v), self.value - 1))
+
+    def contractions(
+        self, edges: Iterable[tuple[int, int]] | None = None
+    ) -> Iterator[tuple[int, int, int]]:
+        for u, v in self.g.edges() if edges is None else edges:
+            yield u, v, int(tree_depth_decision(self.g.contract_edge(u, v), self.value - 1))
 
 
 def _check_budget(g: Graph, max_vertices: int) -> None:

@@ -17,7 +17,6 @@ from tdlab import (
     g4k,
     generate,
     h_graph,
-    high_td_by_forbidden,
     k_net,
     path,
     pattern,
@@ -149,7 +148,6 @@ def test_forbidden_list_equivalence_small():
             td = tree_depth(g).value
             for k in range(3):
                 assert fk_free(g, k) == (td >= g.n - k)
-                assert high_td_by_forbidden(g, k) == fk_free(g, k)
     with pytest.raises(ValueError):
         fk_free(complete(2), 3)
 

@@ -11,6 +11,7 @@ from tdlab import (
     cycle_complement,
     disjoint_union,
     enumerate_graphs,
+    h_graph,
     path,
     pattern,
     surplus,
@@ -18,7 +19,8 @@ from tdlab import (
     tree_depth_decision,
     verify_feasible,
 )
-from tdlab.solver import MAX_VERTICES
+from tdlab.graphs import bits
+from tdlab.solver import MAX_VERTICES, _MinorTable
 
 from oracles import ref_feasible, ref_tree_depth, ref_tree_depth_scan
 
@@ -177,3 +179,45 @@ def test_surplus_pattern_minimality():
         g = pattern(name)
         for v in range(g.n):
             assert surplus(g.delete_vertex(v)) == 2
+
+
+def _table_rows(table):
+    return (
+        list(table.edge_deletions()),
+        list(table.contractions()),
+        list(table.vertex_deletions()),
+    )
+
+
+def test_minor_table_matches_exact_minor_solves():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            value = tree_depth(g).value
+            table = _MinorTable(g)
+            assert table.value == value
+            expected = (
+                [(u, v, value - tree_depth(g.delete_edge(u, v)).value) for u, v in g.edges()],
+                [(u, v, value - tree_depth(g.contract_edge(u, v)).value) for u, v in g.edges()],
+                [value - tree_depth(g.delete_vertex(v)).value for v in range(n)],
+            )
+            assert _table_rows(table) == expected
+            # a table on a fresh parent solver (as the search screen builds it)
+            assert _table_rows(_MinorTable(g, value)) == expected
+            edge_rows, contraction_rows, vertex_rows = expected
+            drops = [d for *_, d in edge_rows + contraction_rows] + vertex_rows
+            assert set(drops) <= {0, 1}
+
+
+def test_minor_table_leaves_parent_memo_exact():
+    rng = random.Random(61)
+    graphs = [cycle(6), h_graph(3), pattern("2K2")]
+    graphs += [random_graph(rng, n=rng.randrange(3, 7)) for _ in range(12)]
+    for g in graphs:
+        value = tree_depth(g).value
+        solved = _MinorTable(g)
+        assert solved.solver.memo[g.full_mask()] == value
+        for table in (solved, _MinorTable(g, value)):
+            _table_rows(table)
+            for mask, depth in table.solver.memo.items():
+                sub = g.induced_subgraph(bits(mask))
+                assert depth == ref_tree_depth(sub.n, sub.edges())
