@@ -19,7 +19,7 @@ from .errors import BudgetError, Graph6Error
 from .families import FAMILY_NAMES, FamilySpec, PATTERNS, generate
 from .graphs import Graph, parse_edge_list, parse_graph6, to_graph6
 from .labelings import format_labeling, parse_labeling
-from .search import ENUM_MAX_N, SearchJob, run_search
+from .search import ENUM_MAX_N, SearchJob, _graph6_lines, run_search
 from .solver import MAX_VERTICES, tree_depth, verify_feasible
 from .verify import verify_paper
 
@@ -47,10 +47,8 @@ def _read_graph(path: str | None, fmt: str | None) -> Graph:
     if fmt is None:
         fmt = "g6" if _looks_like_graph6(text) else "edges"
     if fmt == "g6":
-        for raw in text.splitlines():
-            line = raw.strip()
-            if line and not line.startswith(">>"):
-                return parse_graph6(line)
+        for line in _graph6_lines(text.splitlines()):
+            return parse_graph6(line)
         raise Graph6Error("no graph6 line in input", 0)
     return parse_edge_list(text)
 

@@ -308,11 +308,6 @@ def _pair_at(pos: int) -> tuple[int, int]:
     return pos, j
 
 
-def edge_bit_positions(n: int) -> list[tuple[int, int]]:
-    """Vertex pairs in graph6 bit order; index in this list = mask bit position."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
 # -- edge-list codec ------------------------------------------------------
 
 

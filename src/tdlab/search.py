@@ -2,28 +2,26 @@
 for minor-critical graphs, optionally restricted to those with a
 non-1-unique vertex.
 
-Built-in enumeration covers n <= 7 by sweeping all labeled graphs as
-edge-set bitmasks: each unseen mask is a new isomorphism class and its whole
-orbit under vertex permutations is marked seen (vectorized with numpy), so
-the sweep touches each class once. Larger orders are consumed from graph6
-line streams.
+Built-in enumeration covers n <= 7 by vertex augmentation: every class on
+n - 1 vertices gets a new vertex with every possible neighbour set, the
+candidates where the new vertex has maximum degree are kept, and their
+canonical forms are deduplicated in a set. Every graph on n vertices arises
+this way (delete a vertex of maximum degree). Larger orders are consumed
+from graph6 line streams.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
 from typing import Any, Iterable, Iterator
 
-import numpy as np
-
 from .criticality import CriticalityReport, _minor_critical, _one_unique, criticality_report
 from .errors import BudgetError
-from .graphs import Graph, canonical_form, edge_bit_positions, parse_graph6
+from .graphs import Graph, canonical_form, parse_graph6
 from .solver import MAX_VERTICES, _MinorTable, tree_depth_decision
 
 ENUM_MAX_N = 7
@@ -32,55 +30,39 @@ ENUM_MAX_N = 7
 @lru_cache(maxsize=None)
 def _enumerated_graph6(n: int) -> tuple[str, ...]:
     """Canonical graph6 strings of all isomorphism classes on n vertices."""
-    pairs = edge_bit_positions(n)
-    npairs = len(pairs)
-    pos = {pq: idx for idx, pq in enumerate(pairs)}
-    maps = [
-        [pos[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
-        for perm in itertools.permutations(range(n))
-    ]
-    bit_values = np.int64(1) << np.array(maps, dtype=np.int64).reshape(len(maps), npairs)
-    size = 1 << npairs
-    seen = np.zeros(size, dtype=bool)
-    reps = []
-    for mask in range(size):
-        if seen[mask]:
-            continue
-        reps.append(mask)
-        if npairs:
-            set_bits = [b for b in range(npairs) if (mask >> b) & 1]
-            if set_bits:
-                orbit = bit_values[:, set_bits].sum(axis=1)
-                seen[orbit] = True
-            else:
-                seen[0] = True
-        else:
-            seen[0] = True
-    out = []
-    for mask in reps:
-        edges = [pairs[b] for b in range(npairs) if (mask >> b) & 1]
-        out.append(canonical_form(Graph.from_edges(n, edges)))
-    out.sort()
-    if len(set(out)) != len(out):
-        raise RuntimeError("canonical dedup produced a collision")
-    return tuple(out)
+    if not 1 <= n <= ENUM_MAX_N:
+        raise ValueError(f"built-in enumeration covers 1 <= n <= {ENUM_MAX_N}")
+    if n == 1:
+        return ("@",)
+    new = 1 << (n - 1)
+    classes = set()
+    for line in _enumerated_graph6(n - 1):
+        adj = parse_graph6(line).adj
+        for nbrs in range(new):
+            rows = [row | new if nbrs >> u & 1 else row for u, row in enumerate(adj)]
+            if nbrs.bit_count() >= max(row.bit_count() for row in rows):
+                classes.add(canonical_form(Graph(n, rows + [nbrs])))
+    return tuple(sorted(classes))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class on n vertices, in canonical
     graph6 order, each already canonically labeled."""
-    if not 1 <= n <= ENUM_MAX_N:
-        raise ValueError(f"built-in enumeration covers 1 <= n <= {ENUM_MAX_N}")
     for line in _enumerated_graph6(n):
         yield parse_graph6(line)
 
 
-def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse a graph6 stream, skipping blank lines and '>>' comment lines."""
+def _graph6_lines(lines: Iterable[str]) -> Iterator[str]:
+    """Stripped lines of a graph6 stream, without blank and '>>' comment lines."""
     for line in lines:
         text = line.strip()
-        if not text or text.startswith(">>"):
-            continue
+        if text and not text.startswith(">>"):
+            yield text
+
+
+def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
+    """Parse a graph6 stream, skipping blank lines and '>>' comment lines."""
+    for text in _graph6_lines(lines):
         yield parse_graph6(text)
 
 
@@ -217,18 +199,11 @@ def _job_lines(job: SearchJob) -> tuple[list[str], str]:
     if sum(sources) != 1:
         raise ValueError("job needs exactly one source: n, graph6_path, or graph6_lines")
     if job.n is not None:
-        if not 1 <= job.n <= ENUM_MAX_N:
-            raise ValueError(f"built-in enumeration covers 1 <= n <= {ENUM_MAX_N}")
         return list(_enumerated_graph6(job.n)), f"builtin:n={job.n}"
-    if job.graph6_path is not None:
-        with open(job.graph6_path, "r", encoding="ascii") as fh:
-            raw = fh.readlines()
-        descriptor = f"file:{job.graph6_path}"
-    else:
-        raw = list(job.graph6_lines)
-        descriptor = f"lines:{len(job.graph6_lines)}"
-    lines = [ln.strip() for ln in raw if ln.strip() and not ln.strip().startswith(">>")]
-    return lines, descriptor
+    if job.graph6_path is None:
+        return list(_graph6_lines(job.graph6_lines)), f"lines:{len(job.graph6_lines)}"
+    with open(job.graph6_path, "r", encoding="ascii") as fh:
+        return list(_graph6_lines(fh)), f"file:{job.graph6_path}"
 
 
 def _config_hash(job: SearchJob, descriptor: str) -> str:

@@ -21,7 +21,6 @@ from tdlab import (
     to_graph6,
     vertex_connectivity,
 )
-from tdlab.graphs import edge_bit_positions
 
 from oracles import ref_decode_graph6, ref_isomorphic
 
@@ -189,10 +188,6 @@ def test_graph6_errors_with_offsets():
         parse_graph6("Aw")  # nonzero padding bits for n=2
     assert e.value.offset == 1
     assert "offset" in str(e.value)
-
-
-def test_edge_bit_positions_column_order():
-    assert edge_bit_positions(4) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
 
 # edge list format

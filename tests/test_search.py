@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tdlab
 from tdlab import (
     BudgetError,
+    Graph,
     SearchCounters,
     SearchJob,
     SearchResult,
@@ -16,6 +23,7 @@ from tdlab import (
     to_graph6,
     tree_depth,
 )
+from tdlab.search import ENUM_MAX_N, _enumerated_graph6
 
 from oracles import ref_isomorphism_classes
 
@@ -39,6 +47,26 @@ def test_enumeration_is_canonical_and_sorted():
             g = parse_graph6(g6)
             assert g.n == n
             assert canonical_form(g) == g6
+
+
+def test_enumeration_matches_networkx_atlas():
+    # an independent class list: the atlas holds every graph on up to 7 nodes
+    from networkx.generators.atlas import graph_atlas_g
+
+    classes: dict[int, set[str]] = {n: set() for n in range(1, ENUM_MAX_N + 1)}
+    for h in graph_atlas_g():
+        n = h.number_of_nodes()
+        if n:
+            classes[n].add(canonical_form(Graph.from_edges(n, h.edges())))
+    for n, expect in classes.items():
+        assert set(_enumerated_graph6(n)) == expect
+
+
+def test_import_loads_no_numpy():
+    env = {**os.environ, "PYTHONPATH": str(Path(tdlab.__file__).resolve().parents[1])}
+    code = "import sys, tdlab; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_enumeration_range():
