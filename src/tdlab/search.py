@@ -148,15 +148,16 @@ class SearchResult:
 _CROSS_VALIDATE_MAX_N = 7
 
 
-def _screen_one(args: tuple[str, int, bool, bool, bool, int]) -> dict[str, Any]:
+def _screen_one(args: tuple[str, int, bool, bool, bool, int, bool]) -> dict[str, Any]:
     """Screen one graph6 line; returns a plain dict so it pickles cheaply.
+    A line flagged canonical (the built-in census) is its own canonical form.
 
     Stage order: budget, connectivity filter, td == target (decision with
     cutoff), the minor table's edge, vertex and contraction stages (skipping
     edges at 1-unique vertices, cross-validated against the full scan on
     small graphs), then 1-uniqueness annotation and the full report for hits.
     """
-    g6, target, critical, non_one_unique, connected_only, budget = args
+    g6, target, critical, non_one_unique, connected_only, budget, canonical = args
     g = parse_graph6(g6)
     out: dict[str, Any] = {"skipped": False, "at_td": False, "critical": None}
     if g.n > budget:
@@ -186,7 +187,7 @@ def _screen_one(args: tuple[str, int, bool, bool, bool, int]) -> dict[str, Any]:
             return out
     report = criticality_report(g)
     out["hit"] = True
-    out["canon"] = canonical_form(g) if g.n <= 10 else g6
+    out["canon"] = canonical_form(g) if g.n <= 10 and not canonical else g6
     out["report"] = report.to_dict()
     if out["critical"] is None:
         out["critical"] = report.is_minor_critical
@@ -236,6 +237,7 @@ def run_search(job: SearchJob) -> SearchResult:
             job.non_one_unique,
             job.connected_only,
             job.budget,
+            job.n is not None,
         )
         for g6 in lines
     ]

@@ -3,12 +3,20 @@
 tree_depth(g) follows the recursive characterization: an empty graph has
 depth 0, a disconnected graph takes the maximum over its components, and a
 connected graph costs 1 plus the best vertex deletion. The recursion is
-memoized on vertex-subset bitmasks, with two exact shortcuts:
+memoized on vertex-subset bitmasks, with three exact shortcuts:
 
 * a connected subset of size <= 2 has depth equal to its size;
 * a subset with a universal vertex v satisfies td(S) = 1 + td(S - v),
   because v's label must differ from every other label in any feasible
-  labeling of S, so deleting v first is always optimal.
+  labeling of S, so deleting v first is always optimal;
+* the scan over the vertices v of a connected subset S stops once the
+  depths td(S - v) seen so far include both T - 1 and T, where T = td(S).
+  Every td(S - v) lies in {T - 1, T}: td(S - v) <= T because S - v is a
+  subgraph, and T <= 1 + td(S - v) because v can top any forest of S - v.
+  So 1 + min td(S - v) >= T >= max td(S - v), and once the running
+  minimum plus one meets the running maximum, both equal T.
+
+Every memo entry is exact; the early exit only leaves some subsets unsolved.
 
 The witness is an elimination forest (parent map, roots = -1) whose
 height-plus-one labeling is feasible and uses exactly td(g) labels.
@@ -75,14 +83,30 @@ class _SubsetSolver:
         size = mask.bit_count()
         if size <= 2:
             return size
-        for v in bits(mask):
-            if self.adj[v] & mask == mask ^ (1 << v):
-                return 1 + self.td(mask ^ (1 << v))
-        best = size
-        for v in bits(mask):
-            cand = 1 + self.td(mask ^ (1 << v))
-            if cand < best:
-                best = cand
+        adj, memo = self.adj, self.memo
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if adj[low.bit_length() - 1] & mask == mask ^ low:
+                return 1 + self.td(mask ^ low)
+        # best = 1 + min td(S - v) >= td(S) >= max td(S - v) = hi, so the
+        # scan is done as soon as best <= hi.
+        best, hi = size, 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            child = mask ^ low
+            depth = memo.get(child)
+            if depth is None:
+                depth = self.td(child)
+            if depth + 1 < best:
+                best = depth + 1
+            if depth > hi:
+                hi = depth
+            if best <= hi:
+                break
         return best
 
     def td_le(self, mask: int, k: int) -> bool:
@@ -98,19 +122,32 @@ class _SubsetSolver:
         cached = self.decision_memo.get(key)
         if cached is not None:
             return cached
-        comps = mask_components(self.adj, mask)
+        adj = self.adj
+        comps = mask_components(adj, mask)
         if len(comps) > 1:
             out = all(self.td_le(c, k) for c in comps)
         else:
             out = False
-            for v in bits(mask):
-                if self.adj[v] & mask == mask ^ (1 << v):
-                    out = self.td_le(mask ^ (1 << v), k - 1)
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if adj[low.bit_length() - 1] & mask == mask ^ low:
+                    out = self.td_le(mask ^ low, k - 1)
                     break
             else:
-                for v in bits(mask):
-                    if self.td_le(mask ^ (1 << v), k - 1):
-                        out = True
+                memo = self.memo
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    child = mask ^ low
+                    depth = memo.get(child)
+                    if depth is None:
+                        out = self.td_le(child, k - 1)
+                    else:
+                        out = depth < k
+                    if out:
                         break
         self.decision_memo[key] = out
         return out
@@ -139,10 +176,13 @@ class _MinorTable:
     """Depth drops of the single-step minors of g, as three lazy stages. Each
     drop is 0 or 1 (proof in the criticality module), so each is a decision.
 
-    Vertex deletions ask the parent solver of g, whose exact solve of g has
-    mostly memoized every g - v already; edge deletions run on it through
-    _EdgeDeletedSolver; contractions are one cutoff decision each. Given
-    ``value`` = td(g), the parent only solves the subsets it is asked about.
+    Vertex deletions ask the parent solver of g. Its exact solve of a
+    connected g without a universal vertex memoizes every g - v only when g is
+    vertex-critical; otherwise its scan stops once it has seen a drop of 1 and
+    a drop of 0, and the later deletions fall back to the parent's td_le.
+    Edge deletions run on the parent through _EdgeDeletedSolver; contractions
+    are one cutoff decision each. Given ``value`` = td(g), the parent only
+    solves the subsets it is asked about.
     """
 
     def __init__(self, g: Graph, value: int | None = None, max_vertices: int = MAX_VERTICES):

@@ -2,7 +2,8 @@
 
 Deliberately written from the definitions, with different algorithms than
 the package: feasibility by per-pair path search, tree-depth by label
-enumeration, isomorphism by permutation scan, graph6 by direct bit reading.
+enumeration or by the shortcut-free recursion on vertex sets, isomorphism by
+permutation scan, graph6 by direct bit reading.
 """
 
 from __future__ import annotations
@@ -61,6 +62,69 @@ def _exists_labeling(n: int, edges: list[tuple[int, int]], k: int) -> bool:
         return False
 
     return go(0)
+
+
+def _neighbour_sets(n: int, edges: list[tuple[int, int]]) -> list[set[int]]:
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def _components(nbrs: list[set[int]], vs: frozenset) -> list[frozenset]:
+    """Components of the set by DFS, in ascending order of smallest vertex."""
+    left, comps = set(vs), []
+    while left:
+        stack, comp = [min(left)], set()
+        while stack:
+            x = stack.pop()
+            if x not in comp:
+                comp.add(x)
+                stack.extend(nbrs[x] & left)
+        left -= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def ref_tree_depth_dp(n: int, edges: list[tuple[int, int]]):
+    """The plain recursion on vertex sets, with no shortcuts: td(empty) = 0,
+    a disconnected set takes the max over its components, and a connected
+    set costs 1 + min over all its vertices v of td(set - v). Returns the
+    memoized depth function on frozensets of vertices."""
+    nbrs = _neighbour_sets(n, edges)
+    memo: dict[frozenset, int] = {}
+
+    def td(vs: frozenset) -> int:
+        if not vs:
+            return 0
+        if vs not in memo:
+            comps = _components(nbrs, vs)
+            if len(comps) > 1:
+                memo[vs] = max(td(c) for c in comps)
+            else:
+                memo[vs] = 1 + min(td(vs - {v}) for v in vs)
+        return memo[vs]
+
+    return td
+
+
+def ref_witness_dp(n: int, edges: list[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(labeling, elimination forest) from the shortcut-free recursion, with
+    the tie-breaks the solver documents: components in ascending order of
+    smallest vertex, and in each the smallest root that achieves its depth."""
+    td, nbrs = ref_tree_depth_dp(n, edges), _neighbour_sets(n, edges)
+    parent, label = [-1] * n, [0] * n
+
+    def build(vs: frozenset, up: int) -> None:
+        for comp in _components(nbrs, vs):
+            t = td(comp)
+            v = next(v for v in sorted(comp) if 1 + td(comp - {v}) == t)
+            parent[v], label[v] = up, t
+            build(comp - {v}, v)
+
+    build(frozenset(range(n)), -1)
+    return tuple(label), tuple(parent)
 
 
 def ref_tree_depth_scan(n: int, edges: list[tuple[int, int]]) -> int:

@@ -25,10 +25,11 @@ from tdlab import (
 from oracles import ref_decode_graph6, ref_isomorphic
 
 
-def random_graph(rng, n=None):
+def random_graph(rng, n=None, p=None):
     if n is None:
         n = rng.randrange(1, 9)
-    p = rng.choice((0.2, 0.4, 0.6, 0.8))
+    if p is None:
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
 

@@ -20,9 +20,15 @@ from tdlab import (
     verify_feasible,
 )
 from tdlab.graphs import bits
-from tdlab.solver import MAX_VERTICES, _MinorTable
+from tdlab.solver import MAX_VERTICES, _MinorTable, _SubsetSolver
 
-from oracles import ref_feasible, ref_tree_depth, ref_tree_depth_scan
+from oracles import (
+    ref_feasible,
+    ref_tree_depth,
+    ref_tree_depth_dp,
+    ref_tree_depth_scan,
+    ref_witness_dp,
+)
 
 from test_graphs import random_graph
 
@@ -134,6 +140,32 @@ def test_decision_matches_value():
             td = tree_depth(g).value
             for k in range(0, n + 2):
                 assert tree_depth_decision(g, k) == (td <= k)
+
+
+def test_memo_and_witness_match_shortcut_free_recursion():
+    rng = random.Random(29)
+    for n in range(8, 12):
+        for p in (0.3, 0.5, 0.7):
+            for _ in range(2):
+                g = random_graph(rng, n, p)
+                td = ref_tree_depth_dp(g.n, g.edges())
+                solver = _SubsetSolver(g)
+                assert solver.td(g.full_mask()) == td(frozenset(range(n)))
+                for mask, depth in solver.memo.items():
+                    assert depth == td(frozenset(bits(mask))), (g.edges(), mask)
+                w = tree_depth(g)
+                assert w.value == td(frozenset(range(n)))
+                assert (w.labeling, w.elimination_forest) == ref_witness_dp(g.n, g.edges())
+
+
+def test_decision_brackets_value_at_larger_n():
+    rng = random.Random(31)
+    for n in range(12, 15):
+        for p in (0.3, 0.5, 0.7):
+            g = random_graph(rng, n, p)
+            value = tree_depth(g).value
+            assert tree_depth_decision(g, value)
+            assert not tree_depth_decision(g, value - 1)
 
 
 def test_budget_cap():
