@@ -8,9 +8,11 @@ deeper minor dropped the depth, monotonicity means a single deletion or
 contraction on the way there already did.
 
 Each single-step minor h of g has td(g) - 1 <= td(h) <= td(g), so its depth
-drop is 0 or 1 and one decision at cutoff td(g) - 1 settles it. The upper
-bound is minor-monotonicity. The lower bound, in elimination forests (every
-edge joins an ancestor and a descendant; depth = number of levels):
+drop is 0 or 1. The minor table settles it with one exact solve of h that
+starts from the floor td(g) - 1 and reuses g's memo (see the solver
+module). The upper bound is minor-monotonicity. The lower bound, in
+elimination forests (every edge joins an ancestor and a descendant; depth =
+number of levels):
 
 * h = g - v: v as a new root over a forest of h gives a forest of g;
 * h = g - uv: so does u over a forest of g - u, a subgraph of h;
@@ -18,6 +20,11 @@ edge joins an ancestor and a descendant; depth = number of levels):
   u in w's place and w's children below v. A neighbour of u or v was one
   of w, so it is an ancestor of u or a descendant of v, and uv is a
   parent-child pair; only paths through w grow, by one level.
+
+The star-clique transform h of g at v is not a minor and can raise the depth
+(the star K(1,3) becomes K3), but the same floor holds: h contains g - v, so
+v as a new root over a forest of h gives a forest of g. The 1-uniqueness
+test is the same exact solve as a minor's, asking whether td(h) < td(g).
 """
 
 from __future__ import annotations
@@ -27,20 +34,17 @@ from typing import Any
 
 from .graphs import Graph
 from .labelings import T_UNIQUE_MAX_N, T_UNIQUE_MAX_TD, _t_uniqueness
-from .solver import MAX_VERTICES, _MinorTable, tree_depth, tree_depth_decision
+from .solver import MAX_VERTICES, _MinorTable, tree_depth
 
 
 def is_one_unique_vertex(g: Graph, v: int) -> bool:
-    value = tree_depth(g).value
-    return tree_depth_decision(g.star_clique_transform(v), value - 1)
+    if not 0 <= v < g.n:
+        raise ValueError(f"no vertex {v}")
+    return next(_MinorTable(g).one_unique([v]))
 
 
 def one_unique_vertices(g: Graph) -> tuple[bool, ...]:
-    return _one_unique(g, tree_depth(g).value)
-
-
-def _one_unique(g: Graph, value: int) -> tuple[bool, ...]:
-    return tuple(tree_depth_decision(g.star_clique_transform(v), value - 1) for v in range(g.n))
+    return tuple(_MinorTable(g).one_unique()) if g.n else ()
 
 
 def is_one_unique(g: Graph) -> bool:
@@ -76,9 +80,8 @@ def _minor_critical(table: _MinorTable, shortcut: bool) -> tuple[bool, tuple[boo
         return False, None
     if not shortcut:
         return all(d for _, _, d in table.contractions()), None
-    g = table.g
-    ou = _one_unique(g, table.value)
-    kept = [(u, v) for u, v in g.edges() if not ou[u] and not ou[v]]
+    ou = tuple(table.one_unique())
+    kept = [(u, v) for u, v in table.g.edges() if not ou[u] and not ou[v]]
     return all(d for _, _, d in table.contractions(kept)), ou
 
 
@@ -162,7 +165,7 @@ def criticality_report(g: Graph, max_vertices: int = MAX_VERTICES) -> Criticalit
     edge_deltas = tuple(table.edge_deletions())
     contraction_deltas = tuple(table.contractions())
     vertex_deltas = tuple(table.vertex_deletions())
-    ou = _one_unique(g, value)
+    ou = tuple(table.one_unique())
     if g.is_complete() or (g.n <= T_UNIQUE_MAX_N and value <= T_UNIQUE_MAX_TD):
         min_t = tuple(_t_uniqueness(g, v, value) for v in range(g.n))
     else:

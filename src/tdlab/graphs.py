@@ -37,8 +37,10 @@ def mask_components(adj: Sequence[int], mask: int) -> list[int]:
         frontier = comp
         while frontier:
             grown = 0
-            for v in bits(frontier):
-                grown |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown |= adj[low.bit_length() - 1]
             frontier = grown & rem & ~comp
             comp |= frontier
         comps.append(comp)

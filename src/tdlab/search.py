@@ -19,10 +19,10 @@ from functools import lru_cache
 from multiprocessing import Pool
 from typing import Any, Iterable, Iterator
 
-from .criticality import CriticalityReport, _minor_critical, _one_unique, criticality_report
+from .criticality import CriticalityReport, _minor_critical, criticality_report
 from .errors import BudgetError
 from .graphs import Graph, canonical_form, parse_graph6
-from .solver import MAX_VERTICES, _MinorTable, tree_depth_decision
+from .solver import MAX_VERTICES, _MinorTable
 
 ENUM_MAX_N = 7
 
@@ -152,10 +152,11 @@ def _screen_one(args: tuple[str, int, bool, bool, bool, int, bool]) -> dict[str,
     """Screen one graph6 line; returns a plain dict so it pickles cheaply.
     A line flagged canonical (the built-in census) is its own canonical form.
 
-    Stage order: budget, connectivity filter, td == target (decision with
-    cutoff), the minor table's edge, vertex and contraction stages (skipping
-    edges at 1-unique vertices, cross-validated against the full scan on
-    small graphs), then 1-uniqueness annotation and the full report for hits.
+    Stage order: budget, connectivity filter, td == target (the exact solve
+    of the minor table's parent), the table's edge, vertex and contraction
+    stages (skipping edges at 1-unique vertices, cross-validated against the
+    full scan on small graphs), then its 1-uniqueness stage and the full
+    report for hits.
     """
     g6, target, critical, non_one_unique, connected_only, budget, canonical = args
     g = parse_graph6(g6)
@@ -163,14 +164,15 @@ def _screen_one(args: tuple[str, int, bool, bool, bool, int, bool]) -> dict[str,
     if g.n > budget:
         out["skipped"] = True
         return out
-    if connected_only and not g.is_connected():
+    # an empty graph (td 0) is below every target, and has no table
+    if g.n == 0 or connected_only and not g.is_connected():
         return out
-    if not tree_depth_decision(g, target) or tree_depth_decision(g, target - 1):
+    table = _MinorTable(g)
+    if table.value != target:
         return out
     out["at_td"] = True
     ou = None
     if critical:
-        table = _MinorTable(g, target)
         minor_critical, ou = _minor_critical(table, shortcut=True)
         # ou is set once the contraction stage has run
         if ou is not None and g.n <= _CROSS_VALIDATE_MAX_N:
@@ -182,7 +184,7 @@ def _screen_one(args: tuple[str, int, bool, bool, bool, int, bool]) -> dict[str,
         out["counterexample"] = not all(ou)
     if non_one_unique:
         if ou is None:
-            ou = _one_unique(g, target)
+            ou = tuple(table.one_unique())
         if all(ou):
             return out
     report = criticality_report(g)

@@ -17,6 +17,21 @@ memoized on vertex-subset bitmasks, with three exact shortcuts:
   minimum plus one meets the running maximum, both equal T.
 
 Every memo entry is exact; the early exit only leaves some subsets unsolved.
+This one recursion answers every question: tree_depth_decision compares its
+value with the cutoff, and the minor table runs it on each single-step minor
+and star-clique transform h of g, kept in g's vertex numbering with the
+dropped vertex v out of every mask. A subset S that h and g induce alike is
+solved by g's solver. Any other S starts its scan with hi = td_g(S') - 1 in
+place of 0, where S' is S plus the dropped vertex, when g's memo holds that
+depth; then the scan stops as soon as 1 + min td_h(S - x) reaches it. The
+floor holds because td(h[S]) >= td(g[S']) - 1:
+
+* h[S] = g[S] - uv: u as a new root over a forest of g[S] - u, a subgraph
+  of h[S], gives a forest of g[S];
+* h[S] = g[S']/uv: split the merged vertex of a forest of h[S] into a
+  two-vertex chain (proof in the criticality module);
+* h[S] = g[S'] with v star-clique transformed: v as a new root over a
+  forest of h[S], which contains g[S], gives a forest of g[S'].
 
 The witness is an elimination forest (parent map, roots = -1) whose
 height-plus-one labeling is feasible and uses exactly td(g) labels.
@@ -28,7 +43,7 @@ order of smallest vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError
 from .graphs import Graph, bits, mask_components
@@ -53,17 +68,17 @@ class FeasibilityCheck:
 
 
 class _SubsetSolver:
-    """Memoized exact tree-depth over vertex subsets of one graph.
+    """Memoized exact tree-depth over vertex subsets of one graph, given by
+    its adjacency rows.
 
     One instance per tree_depth/tree_depth_decision call or minor table (whose
-    child solvers share it); no state is shared across calls, so concurrent
+    minor solvers share it); no state is shared across calls, so concurrent
     use on different graphs is safe.
     """
 
-    def __init__(self, g: Graph):
-        self.adj = g.adj
+    def __init__(self, adj: Sequence[int]):
+        self.adj = adj
         self.memo: dict[int, int] = {}
-        self.decision_memo: dict[tuple[int, int], bool] = {}
 
     def td(self, mask: int) -> int:
         if mask == 0:
@@ -79,7 +94,8 @@ class _SubsetSolver:
         self.memo[mask] = val
         return val
 
-    def _td_connected(self, mask: int) -> int:
+    def _td_connected(self, mask: int, hi: int = 0) -> int:
+        """td of a connected subset, given a lower bound ``hi`` on it."""
         size = mask.bit_count()
         if size <= 2:
             return size
@@ -90,9 +106,9 @@ class _SubsetSolver:
             rest ^= low
             if adj[low.bit_length() - 1] & mask == mask ^ low:
                 return 1 + self.td(mask ^ low)
-        # best = 1 + min td(S - v) >= td(S) >= max td(S - v) = hi, so the
-        # scan is done as soon as best <= hi.
-        best, hi = size, 0
+        # best = 1 + min td(S - v) >= td(S) >= max(hi, max td(S - v)), so
+        # the scan is done as soon as best <= hi.
+        best = size
         rest = mask
         while rest:
             low = rest & -rest
@@ -109,105 +125,96 @@ class _SubsetSolver:
                 break
         return best
 
-    def td_le(self, mask: int, k: int) -> bool:
-        """Decision form with cutoff: is td of the subset at most k?"""
-        if mask.bit_count() <= k:
-            return True
-        if k <= 0:
-            return False
-        exact = self.memo.get(mask)
-        if exact is not None:
-            return exact <= k
-        key = (mask, k)
-        cached = self.decision_memo.get(key)
-        if cached is not None:
-            return cached
-        adj = self.adj
-        comps = mask_components(adj, mask)
-        if len(comps) > 1:
-            out = all(self.td_le(c, k) for c in comps)
-        else:
-            out = False
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if adj[low.bit_length() - 1] & mask == mask ^ low:
-                    out = self.td_le(mask ^ low, k - 1)
-                    break
-            else:
-                memo = self.memo
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    child = mask ^ low
-                    depth = memo.get(child)
-                    if depth is None:
-                        out = self.td_le(child, k - 1)
-                    else:
-                        out = depth < k
-                    if out:
-                        break
-        self.decision_memo[key] = out
-        return out
 
+class _MinorSolver(_SubsetSolver):
+    """Exact tree-depth of a graph h derived from the parent's graph g by one
+    operation, given by h's adjacency rows in g's numbering; the vertex the
+    operation removes (bitmask ``dropped``, 0 for an edge deletion) stays out
+    of every mask.
 
-class _EdgeDeletedSolver(_SubsetSolver):
-    """Decision solver for g - uv on top of the solver of g. A subset missing
-    u or v induces the same graph in both, so the parent's exact (and shared)
-    td answers it. A subset holding both loses at most one level, so a parent
-    depth already memoized answers it unless it is exactly k + 1."""
+    A subset S in which no vertex gains or loses a neighbour inside S has
+    h[S] = g[S], so the parent's shared exact td answers it. Any other S is
+    solved here, starting from the lower bound td_g(S + dropped) - 1 when the
+    parent memo holds that depth (see the module docstring).
+    """
 
-    def __init__(self, parent: _SubsetSolver, g: Graph, u: int, v: int):
-        super().__init__(g.delete_edge(u, v))
-        self.parent, self.both = parent, (1 << u) | (1 << v)
+    def __init__(self, parent: _SubsetSolver, adj: Sequence[int], dropped: int = 0):
+        super().__init__(adj)
+        self.parent, self.dropped = parent, dropped
+        self.diff = [(a ^ b) & ~dropped for a, b in zip(adj, parent.adj)]
+        self.changed = sum(1 << w for w, d in enumerate(self.diff) if d)
 
-    def td_le(self, mask: int, k: int) -> bool:
-        if mask & self.both != self.both:
-            return mask.bit_count() <= k or self.parent.td(mask) <= k
-        known = self.parent.memo.get(mask)
-        if known is not None and known != k + 1:
-            return known <= k
-        return super().td_le(mask, k)
+    def td(self, mask: int) -> int:
+        diff = self.diff
+        rest = mask & self.changed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if diff[low.bit_length() - 1] & mask:
+                return super().td(mask)
+        return self.parent.td(mask)
+
+    def _td_connected(self, mask: int, hi: int = 0) -> int:
+        known = self.parent.memo.get(mask | self.dropped)
+        return super()._td_connected(mask, hi if known is None else known - 1)
 
 
 class _MinorTable:
-    """Depth drops of the single-step minors of g, as three lazy stages. Each
-    drop is 0 or 1 (proof in the criticality module), so each is a decision.
+    """Depth drops of the single-step minors of g and of its star-clique
+    transforms, as four lazy stages. A minor or transform h has
+    td(h) >= td(g) - 1 (proof in the criticality module), so it drops the
+    depth iff its exact depth is below td(g); every exact solve can stop at
+    that floor.
 
-    Vertex deletions ask the parent solver of g. Its exact solve of a
-    connected g without a universal vertex memoizes every g - v only when g is
-    vertex-critical; otherwise its scan stops once it has seen a drop of 1 and
-    a drop of 0, and the later deletions fall back to the parent's td_le.
-    Edge deletions run on the parent through _EdgeDeletedSolver; contractions
-    are one cutoff decision each. Given ``value`` = td(g), the parent only
-    solves the subsets it is asked about.
+    Vertex deletions are exact depths on the parent solver of g. Each edge
+    deletion, contraction and star-clique transform runs one _MinorSolver on
+    top of it, so the subsets that h shares with g are solved once, in the
+    parent. ``value``, when given, must be td(g); it seeds the parent memo.
     """
 
     def __init__(self, g: Graph, value: int | None = None, max_vertices: int = MAX_VERTICES):
-        self.g, self.solver = g, _SubsetSolver(g)
+        self.g, self.full, self.solver = g, g.full_mask(), _SubsetSolver(g.adj)
         if value is None:
             if g.n == 0:
                 raise ValueError("criticality is defined for nonempty graphs")
             _check_budget(g, max_vertices)
-            value = self.solver.td(g.full_mask())
-        self.value = value
+            value = self.solver.td(self.full)
+        self.value = self.solver.memo[self.full] = value
+
+    def _drops(self, adj: Sequence[int], dropped: int = 0) -> bool:
+        return _MinorSolver(self.solver, adj, dropped).td(self.full ^ dropped) < self.value
 
     def edge_deletions(self) -> Iterator[tuple[int, int, int]]:
-        g, k = self.g, self.value - 1
-        for u, v in g.edges():
-            yield u, v, int(_EdgeDeletedSolver(self.solver, g, u, v).td_le(g.full_mask(), k))
+        for u, v in self.g.edges():
+            rows = list(self.g.adj)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            yield u, v, int(self._drops(rows))
 
     def vertex_deletions(self) -> Iterator[int]:
         for v in range(self.g.n):
-            yield int(self.solver.td_le(self.g.full_mask() ^ (1 << v), self.value - 1))
+            yield int(self.solver.td(self.full ^ (1 << v)) < self.value)
 
     def contractions(
         self, edges: Iterable[tuple[int, int]] | None = None
     ) -> Iterator[tuple[int, int, int]]:
+        """u keeps the merged vertex and v is dropped."""
+        adj = self.g.adj
         for u, v in self.g.edges() if edges is None else edges:
-            yield u, v, int(tree_depth_decision(self.g.contract_edge(u, v), self.value - 1))
+            rows = list(adj)
+            rows[u] = (adj[u] | adj[v]) & ~(1 << u | 1 << v)
+            for w in bits(rows[u]):
+                rows[w] |= 1 << u
+            yield u, v, int(self._drops(rows, 1 << v))
+
+    def one_unique(self, vertices: Iterable[int] | None = None) -> Iterator[bool]:
+        """Is v 1-unique: does the star-clique transform at v lower td?"""
+        adj = self.g.adj
+        for v in range(self.g.n) if vertices is None else vertices:
+            rows = list(adj)
+            for w in bits(adj[v]):
+                rows[w] |= adj[v] & ~(1 << w)
+            yield self._drops(rows, 1 << v)
 
 
 def _check_budget(g: Graph, max_vertices: int) -> None:
@@ -219,32 +226,32 @@ def _check_budget(g: Graph, max_vertices: int) -> None:
 def tree_depth(g: Graph, max_vertices: int = MAX_VERTICES) -> TreeDepthWitness:
     """Exact tree-depth of g plus a feasible witness labeling and forest."""
     _check_budget(g, max_vertices)
-    solver = _SubsetSolver(g)
+    solver = _SubsetSolver(g.adj)
     value = solver.td(g.full_mask())
     parent = [-1] * g.n
     label = [0] * g.n
-
-    def build(mask: int, up: int) -> None:
-        for comp in mask_components(solver.adj, mask):
+    # A vertex's parent and label depend only on its component and the
+    # vertex above it, so the order in which the stack visits them is free.
+    stack = [(g.full_mask(), -1)]
+    while stack:
+        mask, up = stack.pop()
+        for comp in mask_components(g.adj, mask):
             t = solver.td(comp)
             for v in bits(comp):
                 if 1 + solver.td(comp ^ (1 << v)) == t:
                     parent[v] = up
                     label[v] = t
-                    build(comp ^ (1 << v), v)
+                    stack.append((comp ^ (1 << v), v))
                     break
-
-    build(g.full_mask(), -1)
     return TreeDepthWitness(value, tuple(label), tuple(parent))
 
 
 def tree_depth_decision(g: Graph, k: int, max_vertices: int = MAX_VERTICES) -> bool:
-    """Is td(g) <= k? Same recursion as tree_depth but pruned by the cutoff."""
+    """Is td(g) <= k? Answered by the exact solve that tree_depth runs."""
     if k < 0:
         raise ValueError("cutoff must be non-negative")
     _check_budget(g, max_vertices)
-    solver = _SubsetSolver(g)
-    return solver.td_le(g.full_mask(), k)
+    return _SubsetSolver(g.adj).td(g.full_mask()) <= k
 
 
 def surplus(g: Graph, max_vertices: int = MAX_VERTICES) -> int:

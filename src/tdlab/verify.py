@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .criticality import (
-    criticality_report,
     critical_spanning_subgraph,
     is_minor_critical,
     is_one_unique,
@@ -37,7 +36,7 @@ from .families import (
 from .graphs import Graph, canonical_form, to_graph6
 from .labelings import feasible_labelings, irreducible_core, is_reduced, reduce_labeling
 from .search import SearchJob, enumerate_graphs, run_search
-from .solver import surplus, tree_depth, tree_depth_decision, verify_feasible
+from .solver import surplus, tree_depth, verify_feasible
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,7 @@ def test_report_flags_match_delta_tables():
 
 
 def test_one_unique_check_equals_transform_depth_drop():
-    # the fast decision-based check against a full solve of the transform
+    # the minor table's star-clique stage against a full solve of the transform
     rng = random.Random(149)
     for _ in range(40):
         g = random_graph(rng, n=rng.randrange(1, 8))

@@ -164,6 +164,13 @@ def test_skip_semantics():
         run_search(SearchJob(td_target=3, graph6_lines=(to_graph6(path(6)),), budget=5))
 
 
+def test_empty_graph_line_is_below_every_target():
+    res = run_search(SearchJob(td_target=1, graph6_lines=("?", "A_"), critical=True))
+    assert res.counters.graphs_scanned == 2
+    assert res.counters.graphs_at_target_td == 0
+    assert res.hits == ()
+
+
 def test_job_validation():
     with pytest.raises(ValueError):
         run_search(SearchJob(td_target=3))

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -20,6 +21,7 @@ from tdlab import (
     verify_feasible,
 )
 from tdlab.graphs import bits
+from tdlab import solver as solver_module
 from tdlab.solver import MAX_VERTICES, _MinorTable, _SubsetSolver
 
 from oracles import (
@@ -149,7 +151,7 @@ def test_memo_and_witness_match_shortcut_free_recursion():
             for _ in range(2):
                 g = random_graph(rng, n, p)
                 td = ref_tree_depth_dp(g.n, g.edges())
-                solver = _SubsetSolver(g)
+                solver = _SubsetSolver(g.adj)
                 assert solver.td(g.full_mask()) == td(frozenset(range(n)))
                 for mask, depth in solver.memo.items():
                     assert depth == td(frozenset(bits(mask))), (g.edges(), mask)
@@ -166,6 +168,19 @@ def test_decision_brackets_value_at_larger_n():
             value = tree_depth(g).value
             assert tree_depth_decision(g, value)
             assert not tree_depth_decision(g, value - 1)
+
+
+def test_tree_depth_frees_its_solver_without_gc():
+    # the solver and its memo must go with the call, not wait for a GC pass
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(3, 8):
+            tree_depth(cycle(n))
+        left = [o for o in gc.get_objects() if isinstance(o, _SubsetSolver)]
+    finally:
+        gc.enable()
+    assert not left
 
 
 def test_budget_cap():
@@ -218,6 +233,7 @@ def _table_rows(table):
         list(table.edge_deletions()),
         list(table.contractions()),
         list(table.vertex_deletions()),
+        list(table.one_unique()),
     )
 
 
@@ -231,11 +247,12 @@ def test_minor_table_matches_exact_minor_solves():
                 [(u, v, value - tree_depth(g.delete_edge(u, v)).value) for u, v in g.edges()],
                 [(u, v, value - tree_depth(g.contract_edge(u, v)).value) for u, v in g.edges()],
                 [value - tree_depth(g.delete_vertex(v)).value for v in range(n)],
+                [tree_depth(g.star_clique_transform(v)).value < value for v in range(n)],
             )
             assert _table_rows(table) == expected
-            # a table on a fresh parent solver (as the search screen builds it)
+            # a table on a fresh parent solver (as critical_spanning_subgraph builds it)
             assert _table_rows(_MinorTable(g, value)) == expected
-            edge_rows, contraction_rows, vertex_rows = expected
+            edge_rows, contraction_rows, vertex_rows, _ = expected
             drops = [d for *_, d in edge_rows + contraction_rows] + vertex_rows
             assert set(drops) <= {0, 1}
 
@@ -253,3 +270,39 @@ def test_minor_table_leaves_parent_memo_exact():
             for mask, depth in table.solver.memo.items():
                 sub = g.induced_subgraph(bits(mask))
                 assert depth == ref_tree_depth(sub.n, sub.edges())
+
+
+def test_minor_solver_memos_are_exact(monkeypatch):
+    made = []
+
+    class Recording(solver_module._MinorSolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(solver_module, "_MinorSolver", Recording)
+
+    def check(h, dropped=None):
+        # h is the minor built with Graph ops; vertices above the dropped
+        # one are shifted down by one there
+        memo, td = made.pop().memo, ref_tree_depth_dp(h.n, h.edges())
+        for mask, depth in memo.items():
+            assert dropped is None or not mask >> dropped & 1
+            vs = frozenset(x - (dropped is not None and x > dropped) for x in bits(mask))
+            assert depth == td(vs), (h.edges(), mask)
+        return len(memo)
+
+    rng = random.Random(67)
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [cycle(7), cycle_complement(7)] + [random_graph(rng, n=8) for _ in range(8)]
+    entries = 0
+    for g in graphs:
+        value = tree_depth(g).value
+        for table in (_MinorTable(g), _MinorTable(g, value)):
+            for u, v, _ in table.edge_deletions():
+                entries += check(g.delete_edge(u, v))
+            for u, v, _ in table.contractions():
+                entries += check(g.contract_edge(u, v), v)
+            for v, _ in enumerate(table.one_unique()):
+                entries += check(g.star_clique_transform(v), v)
+    assert not made and entries > 10000
