@@ -34,7 +34,7 @@ from typing import Any
 
 from .graphs import Graph
 from .labelings import T_UNIQUE_MAX_N, T_UNIQUE_MAX_TD, _t_uniqueness
-from .solver import MAX_VERTICES, _MinorTable, tree_depth
+from .solver import MAX_VERTICES, _MinorTable
 
 
 def is_one_unique_vertex(g: Graph, v: int) -> bool:
@@ -89,9 +89,12 @@ def critical_spanning_subgraph(g: Graph) -> Graph:
     """Greedy fixed point of depth-preserving edge deletion: repeatedly
     delete the first edge (ascending (u, v) order) whose removal keeps
     tree-depth unchanged, restarting after each deletion."""
-    value = tree_depth(g).value
+    if g.n == 0:
+        return g
+    value = None
     while True:
         table = _MinorTable(g, value)
+        value = table.value
         spare = next(((u, v) for u, v, d in table.edge_deletions() if not d), None)
         if spare is None:
             return g
@@ -160,8 +163,12 @@ class CriticalityReport:
 def criticality_report(g: Graph, max_vertices: int = MAX_VERTICES) -> CriticalityReport:
     if g.n == 0:
         raise ValueError("criticality report needs a nonempty graph")
-    table = _MinorTable(g, max_vertices=max_vertices)
-    value = table.value
+    return _report(_MinorTable(g, max_vertices=max_vertices))
+
+
+def _report(table: _MinorTable) -> CriticalityReport:
+    """The report of the table's graph, from every stage of the table."""
+    g, value = table.g, table.value
     edge_deltas = tuple(table.edge_deletions())
     contraction_deltas = tuple(table.contractions())
     vertex_deltas = tuple(table.vertex_deletions())

@@ -19,7 +19,7 @@ from functools import lru_cache
 from multiprocessing import Pool
 from typing import Any, Iterable, Iterator
 
-from .criticality import CriticalityReport, _minor_critical, criticality_report
+from .criticality import CriticalityReport, _minor_critical, _report
 from .errors import BudgetError
 from .graphs import Graph, canonical_form, parse_graph6
 from .solver import MAX_VERTICES, _MinorTable
@@ -155,8 +155,8 @@ def _screen_one(args: tuple[str, int, bool, bool, bool, int, bool]) -> dict[str,
     Stage order: budget, connectivity filter, td == target (the exact solve
     of the minor table's parent), the table's edge, vertex and contraction
     stages (skipping edges at 1-unique vertices, cross-validated against the
-    full scan on small graphs), then its 1-uniqueness stage and the full
-    report for hits.
+    full scan on small graphs), then its 1-uniqueness stage and, for hits,
+    the full report from the same table.
     """
     g6, target, critical, non_one_unique, connected_only, budget, canonical = args
     g = parse_graph6(g6)
@@ -187,7 +187,7 @@ def _screen_one(args: tuple[str, int, bool, bool, bool, int, bool]) -> dict[str,
             ou = tuple(table.one_unique())
         if all(ou):
             return out
-    report = criticality_report(g)
+    report = _report(table)
     out["hit"] = True
     out["canon"] = canonical_form(g) if g.n <= 10 and not canonical else g6
     out["report"] = report.to_dict()

@@ -14,11 +14,18 @@ memoized on vertex-subset bitmasks, with three exact shortcuts:
   Every td(S - v) lies in {T - 1, T}: td(S - v) <= T because S - v is a
   subgraph, and T <= 1 + td(S - v) because v can top any forest of S - v.
   So 1 + min td(S - v) >= T >= max td(S - v), and once the running
-  minimum plus one meets the running maximum, both equal T.
+  minimum plus one meets the running maximum, both equal T. The scan reads
+  the children already in the memo first, in ascending order, and solves
+  the others afterwards in the same order, so a memo that already shows
+  T - 1 and T ends it without a new solve.
 
 Every memo entry is exact; the early exit only leaves some subsets unsolved.
-This one recursion answers every question: tree_depth_decision compares its
-value with the cutoff, and the minor table runs it on each single-step minor
+This one recursion answers every question. tree_depth_decision(g, k) first
+builds a greedy elimination forest: a component of more than ten vertices is
+topped by its vertex of highest degree, and a smaller one is solved exactly,
+so its height bounds td(g) from above (td(S) <= 1 + td(S - v) for every v).
+A height <= k answers yes; otherwise the exact solve on the same solver
+decides. The minor table runs the recursion on each single-step minor
 and star-clique transform h of g, kept in g's vertex numbering with the
 dropped vertex v out of every mask. A subset S that h and g induce alike is
 solved by g's solver. Any other S starts its scan with hi = td_g(S') - 1 in
@@ -49,6 +56,7 @@ from .errors import BudgetError
 from .graphs import Graph, bits, mask_components
 
 MAX_VERTICES = 25
+_GREEDY_EXACT_MAX = 10  # greedy forests solve components this small exactly
 
 
 @dataclass(frozen=True)
@@ -100,23 +108,31 @@ class _SubsetSolver:
         if size <= 2:
             return size
         adj, memo = self.adj, self.memo
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if adj[low.bit_length() - 1] & mask == mask ^ low:
-                return 1 + self.td(mask ^ low)
         # best = 1 + min td(S - v) >= td(S) >= max(hi, max td(S - v)), so
-        # the scan is done as soon as best <= hi.
+        # the scan is done as soon as best <= hi. One walk looks for a
+        # universal vertex and reads the children already in the memo; the
+        # children it had to skip are solved afterwards, in the same order.
         best = size
+        unsolved = []
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
             child = mask ^ low
+            if adj[low.bit_length() - 1] & mask == child:
+                return 1 + self.td(child)
             depth = memo.get(child)
             if depth is None:
-                depth = self.td(child)
+                unsolved.append(child)
+                continue
+            if depth + 1 < best:
+                best = depth + 1
+            if depth > hi:
+                hi = depth
+            if best <= hi:
+                return best
+        for child in unsolved:
+            depth = self.td(child)
             if depth + 1 < best:
                 best = depth + 1
             if depth > hi:
@@ -246,12 +262,31 @@ def tree_depth(g: Graph, max_vertices: int = MAX_VERTICES) -> TreeDepthWitness:
     return TreeDepthWitness(value, tuple(label), tuple(parent))
 
 
+def _greedy_height(solver: _SubsetSolver, mask: int) -> int:
+    """Height of a greedy elimination forest of the subset, an upper bound
+    on its td: a component of more than _GREEDY_EXACT_MAX vertices is topped
+    by its vertex of highest degree inside it (lowest id on ties) over a
+    greedy forest of the rest; a smaller one is solved exactly."""
+    adj, height = solver.adj, 0
+    for comp in mask_components(adj, mask):
+        if comp.bit_count() <= _GREEDY_EXACT_MAX:
+            depth = solver.td(comp)
+        else:
+            top = max(bits(comp), key=lambda v: ((adj[v] & comp).bit_count(), -v))
+            depth = 1 + _greedy_height(solver, comp ^ (1 << top))
+        height = max(height, depth)
+    return height
+
+
 def tree_depth_decision(g: Graph, k: int, max_vertices: int = MAX_VERTICES) -> bool:
-    """Is td(g) <= k? Answered by the exact solve that tree_depth runs."""
+    """Is td(g) <= k? Yes at once if a greedy elimination forest has height
+    <= k; otherwise the exact solve that tree_depth runs decides, on the
+    same solver, so the components the greedy pass solved stay solved."""
     if k < 0:
         raise ValueError("cutoff must be non-negative")
     _check_budget(g, max_vertices)
-    return _SubsetSolver(g.adj).td(g.full_mask()) <= k
+    solver, full = _SubsetSolver(g.adj), g.full_mask()
+    return _greedy_height(solver, full) <= k or solver.td(full) <= k
 
 
 def surplus(g: Graph, max_vertices: int = MAX_VERTICES) -> int:

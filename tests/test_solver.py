@@ -22,7 +22,7 @@ from tdlab import (
 )
 from tdlab.graphs import bits
 from tdlab import solver as solver_module
-from tdlab.solver import MAX_VERTICES, _MinorTable, _SubsetSolver
+from tdlab.solver import MAX_VERTICES, _greedy_height, _MinorTable, _SubsetSolver
 
 from oracles import (
     ref_feasible,
@@ -168,6 +168,40 @@ def test_decision_brackets_value_at_larger_n():
             value = tree_depth(g).value
             assert tree_depth_decision(g, value)
             assert not tree_depth_decision(g, value - 1)
+
+
+def _greedy_sized_graphs():
+    # n > 10, so the greedy pass tops components with a vertex before it
+    # solves them exactly
+    rng = random.Random(37)
+    return [random_graph(rng, n, p) for n in range(11, 18) for p in (0.3, 0.5, 0.7)]
+
+
+def test_decision_matches_value_past_the_greedy_threshold():
+    for g in _greedy_sized_graphs():
+        td = tree_depth(g).value
+        for k in range(0, g.n + 2):
+            assert tree_depth_decision(g, k) == (td <= k), (g.edges(), k)
+
+
+def test_greedy_height_bounds_td_from_above():
+    for g in _greedy_sized_graphs():
+        height = _greedy_height(_SubsetSolver(g.adj), g.full_mask())
+        assert height >= tree_depth(g).value, g.edges()
+
+
+def test_memo_after_greedy_then_exact_matches_shortcut_free_recursion():
+    rng = random.Random(41)
+    for n in (11, 12):
+        for p in (0.3, 0.5, 0.7):
+            for _ in range(2):
+                g = random_graph(rng, n, p)
+                td = ref_tree_depth_dp(g.n, g.edges())
+                solver = _SubsetSolver(g.adj)
+                height = _greedy_height(solver, g.full_mask())
+                assert height >= solver.td(g.full_mask()) == td(frozenset(range(n)))
+                for mask, depth in solver.memo.items():
+                    assert depth == td(frozenset(bits(mask))), (g.edges(), mask)
 
 
 def test_tree_depth_frees_its_solver_without_gc():
