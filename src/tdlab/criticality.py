@@ -25,6 +25,12 @@ The star-clique transform h of g at v is not a minor and can raise the depth
 (the star K(1,3) becomes K3), but the same floor holds: h contains g - v, so
 v as a new root over a forest of h gives a forest of g. The 1-uniqueness
 test is the same exact solve as a minor's, asking whether td(h) < td(g).
+
+So a 1-unique vertex v settles the minors at it: g - v and g/uv (merged
+vertex kept as u) are subgraphs of h on V - v, since h keeps every edge of
+g - v and u's new neighbours N(v) - u lie in the clique on N(v).
+Hence td(g/uv) <= td(h) < td(g), and likewise when u is 1-unique. The
+report's min_t reads t = 1 from the same flags.
 """
 
 from __future__ import annotations
@@ -40,11 +46,11 @@ from .solver import MAX_VERTICES, _MinorTable
 def is_one_unique_vertex(g: Graph, v: int) -> bool:
     if not 0 <= v < g.n:
         raise ValueError(f"no vertex {v}")
-    return next(_MinorTable(g).one_unique([v]))
+    return _MinorTable(g).star_clique_drops(v)
 
 
 def one_unique_vertices(g: Graph) -> tuple[bool, ...]:
-    return tuple(_MinorTable(g).one_unique()) if g.n else ()
+    return _MinorTable(g).one_unique() if g.n else ()
 
 
 def is_one_unique(g: Graph) -> bool:
@@ -62,27 +68,24 @@ def is_induced_subgraph_critical(g: Graph) -> bool:
     return all(_MinorTable(g).vertex_deletions())
 
 
-def is_minor_critical(g: Graph, shortcut: bool = False) -> bool:
+def is_minor_critical(g: Graph) -> bool:
     """Every single edge deletion, edge contraction, and vertex deletion
-    strictly lowers tree-depth.
-
-    With shortcut=True, contractions of edges incident to a 1-unique vertex
-    are skipped (they are guaranteed to lower the depth); the search harness
-    cross-validates the shortcut against the full check on small graphs.
-    """
-    return _minor_critical(_MinorTable(g), shortcut)[0]
+    strictly lowers tree-depth. A contraction at a 1-unique vertex lowers it
+    by the module docstring's argument, so only the other contractions are
+    solved."""
+    return _minor_critical(_MinorTable(g))
 
 
-def _minor_critical(table: _MinorTable, shortcut: bool) -> tuple[bool, tuple[bool, ...] | None]:
+def _minor_critical(table: _MinorTable) -> bool:
     """Edge, then vertex, then contraction stage, stopping at the first minor
-    that keeps the depth; also the 1-unique flags if the shortcut made them."""
-    if not (all(d for _, _, d in table.edge_deletions()) and all(table.vertex_deletions())):
-        return False, None
-    if not shortcut:
-        return all(d for _, _, d in table.contractions()), None
-    ou = tuple(table.one_unique())
-    kept = [(u, v) for u, v in table.g.edges() if not ou[u] and not ou[v]]
-    return all(d for _, _, d in table.contractions(kept)), ou
+    that keeps the depth. The contraction stage first solves the table's
+    1-unique flags, which the caller can then read from the table, and
+    solves only the edges that the flags do not settle."""
+    return (
+        all(d for _, _, d in table.edge_deletions())
+        and all(table.vertex_deletions())
+        and all(d for _, _, d in table.contractions())
+    )
 
 
 def critical_spanning_subgraph(g: Graph) -> Graph:
@@ -105,10 +108,12 @@ def critical_spanning_subgraph(g: Graph) -> Graph:
 class CriticalityReport:
     """Everything the search pipeline records per graph.
 
-    Deltas are td(g) minus the depth after the operation. min_t entries are
-    None either when no optimal labeling isolates the vertex at any label or
-    when the instance exceeds the t_uniqueness cap (n <= 10, td <= 6); the
-    criticality booleans and one_unique flags are always exact.
+    Deltas are td(g) minus the depth after the operation. min_t is 1 exactly
+    at the one_unique flags; any other entry comes from the labeling search
+    from t = 2 on, and is None either when no optimal labeling isolates the
+    vertex at any label or when the instance exceeds the t_uniqueness cap
+    (n <= 10, td <= 6; complete graphs are exempt). The criticality booleans
+    and one_unique flags are always exact.
     conjecture_checks: "order" is n <= 2^(td-1), "maxdeg" is
     max degree <= td - 1.
     """
@@ -172,9 +177,9 @@ def _report(table: _MinorTable) -> CriticalityReport:
     edge_deltas = tuple(table.edge_deletions())
     contraction_deltas = tuple(table.contractions())
     vertex_deltas = tuple(table.vertex_deletions())
-    ou = tuple(table.one_unique())
+    ou = table.one_unique()
     if g.is_complete() or (g.n <= T_UNIQUE_MAX_N and value <= T_UNIQUE_MAX_TD):
-        min_t = tuple(_t_uniqueness(g, v, value) for v in range(g.n))
+        min_t = tuple(1 if ou[v] else _t_uniqueness(g, v, value, 2) for v in range(g.n))
     else:
         min_t = (None,) * g.n
     sub_critical = all(d for _, _, d in edge_deltas)

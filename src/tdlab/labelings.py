@@ -206,8 +206,10 @@ def t_uniqueness(g: Graph, v: int) -> int | None:
     return _t_uniqueness(g, v, None)
 
 
-def _t_uniqueness(g: Graph, v: int, value: int | None) -> int | None:
-    """t_uniqueness where ``value`` is td(g) if the caller knows it, else None."""
+def _t_uniqueness(g: Graph, v: int, value: int | None, start: int = 1) -> int | None:
+    """t_uniqueness where ``value`` is td(g) if the caller knows it, else
+    None, searching t from ``start`` on; the caller vouches that no smaller
+    t isolates v."""
     if g.is_complete():
         return 1
     value = tree_depth(g).value if value is None else value
@@ -216,7 +218,7 @@ def _t_uniqueness(g: Graph, v: int, value: int | None) -> int | None:
             f"t_uniqueness capped at n <= {T_UNIQUE_MAX_N}, td <= {T_UNIQUE_MAX_TD}"
         )
     everything = range(1, value + 1)
-    for t in range(1, value + 1):
+    for t in range(start, value + 1):
         others = [c for c in everything if c != t]
         allowed: list[Sequence[int]] = [others] * g.n
         allowed[v] = [t]

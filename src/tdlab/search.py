@@ -105,8 +105,9 @@ class SearchCounters:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Hits are (canonical graph6, report) pairs sorted by canonical form,
-    deduplicated on canonical form.
+    """Hits are (graph6, report) pairs sorted by graph6 and deduplicated on
+    it. A graph with n <= 10 is keyed by its canonical form; a larger one
+    keeps its input encoding, so isomorphic copies of it stay separate.
 
     Counter semantics: critical_count / counterexample_count tally graphs
     whose minor-criticality was established during the run; with the
@@ -145,18 +146,15 @@ class SearchResult:
         return SearchResult.from_dict(json.loads(text))
 
 
-_CROSS_VALIDATE_MAX_N = 7
-
-
 def _screen_one(args: tuple[str, int, bool, bool, bool, int, bool]) -> dict[str, Any]:
     """Screen one graph6 line; returns a plain dict so it pickles cheaply.
     A line flagged canonical (the built-in census) is its own canonical form.
 
     Stage order: budget, connectivity filter, td == target (the exact solve
-    of the minor table's parent), the table's edge, vertex and contraction
-    stages (skipping edges at 1-unique vertices, cross-validated against the
-    full scan on small graphs), then its 1-uniqueness stage and, for hits,
-    the full report from the same table.
+    of the minor table's parent), then the table's edge, vertex and
+    contraction stages, whose 1-unique flags settle every contraction at a
+    1-unique vertex and then serve the 1-uniqueness filter; for hits, the
+    full report from the same table.
     """
     g6, target, critical, non_one_unique, connected_only, budget, canonical = args
     g = parse_graph6(g6)
@@ -171,22 +169,13 @@ def _screen_one(args: tuple[str, int, bool, bool, bool, int, bool]) -> dict[str,
     if table.value != target:
         return out
     out["at_td"] = True
-    ou = None
     if critical:
-        minor_critical, ou = _minor_critical(table, shortcut=True)
-        # ou is set once the contraction stage has run
-        if ou is not None and g.n <= _CROSS_VALIDATE_MAX_N:
-            if all(d for _, _, d in table.contractions()) != minor_critical:
-                raise RuntimeError(f"contraction shortcut disagrees with full check on {g6}")
-        if not minor_critical:
+        if not _minor_critical(table):
             return out
         out["critical"] = True
-        out["counterexample"] = not all(ou)
-    if non_one_unique:
-        if ou is None:
-            ou = tuple(table.one_unique())
-        if all(ou):
-            return out
+        out["counterexample"] = not all(table.one_unique())
+    if non_one_unique and all(table.one_unique()):
+        return out
     report = _report(table)
     out["hit"] = True
     out["canon"] = canonical_form(g) if g.n <= 10 and not canonical else g6
@@ -228,6 +217,8 @@ def _config_hash(job: SearchJob, descriptor: str) -> str:
 def run_search(job: SearchJob) -> SearchResult:
     if job.td_target < 1:
         raise ValueError("td_target must be positive")
+    if job.threads < 1:
+        raise ValueError("threads must be positive")
     if job.budget > MAX_VERTICES:
         raise ValueError(f"budget cannot exceed the solver cap {MAX_VERTICES}")
     lines, descriptor = _job_lines(job)
@@ -244,7 +235,7 @@ def run_search(job: SearchJob) -> SearchResult:
         for g6 in lines
     ]
     if job.threads > 1 and len(args) > 1:
-        with Pool(job.threads) as pool:
+        with Pool(min(job.threads, len(args))) as pool:
             screened = pool.map(_screen_one, args, chunksize=max(1, len(args) // (8 * job.threads)))
     else:
         screened = [_screen_one(a) for a in args]

@@ -25,13 +25,14 @@ builds a greedy elimination forest: a component of more than ten vertices is
 topped by its vertex of highest degree, and a smaller one is solved exactly,
 so its height bounds td(g) from above (td(S) <= 1 + td(S - v) for every v).
 A height <= k answers yes; otherwise the exact solve on the same solver
-decides. The minor table runs the recursion on each single-step minor
-and star-clique transform h of g, kept in g's vertex numbering with the
-dropped vertex v out of every mask. A subset S that h and g induce alike is
-solved by g's solver. Any other S starts its scan with hi = td_g(S') - 1 in
-place of 0, where S' is S plus the dropped vertex, when g's memo holds that
-depth; then the scan stops as soon as 1 + min td_h(S - x) reaches it. The
-floor holds because td(h[S]) >= td(g[S']) - 1:
+decides. The minor table runs the recursion on each star-clique transform
+h of g and on each single-step minor h that the transforms do not settle,
+kept in g's vertex numbering with the dropped vertex v out of every mask.
+A subset S that h and g induce alike is solved by g's solver. Any other S
+starts its scan with hi = td_g(S') - 1 in place of 0, where S' is S plus
+the dropped vertex, when g's memo holds that depth; then the scan stops as
+soon as 1 + min td_h(S - x) reaches it. The floor holds because
+td(h[S]) >= td(g[S']) - 1:
 
 * h[S] = g[S] - uv: u as a new root over a forest of g[S] - u, a subgraph
   of h[S], gives a forest of g[S];
@@ -50,7 +51,7 @@ order of smallest vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetError
 from .graphs import Graph, bits, mask_components
@@ -176,16 +177,19 @@ class _MinorSolver(_SubsetSolver):
 
 
 class _MinorTable:
-    """Depth drops of the single-step minors of g and of its star-clique
-    transforms, as four lazy stages. A minor or transform h has
-    td(h) >= td(g) - 1 (proof in the criticality module), so it drops the
-    depth iff its exact depth is below td(g); every exact solve can stop at
-    that floor.
+    """Depth drops of the single-step minors of g, and its 1-unique flags
+    from the star-clique transforms, as lazy stages. A minor or transform h
+    has td(h) >= td(g) - 1 (proof in the criticality module), so it drops
+    the depth iff its exact depth is below td(g); every exact solve can stop
+    at that floor.
 
     Vertex deletions are exact depths on the parent solver of g. Each edge
     deletion, contraction and star-clique transform runs one _MinorSolver on
     top of it, so the subsets that h shares with g are solved once, in the
-    parent. ``value``, when given, must be td(g); it seeds the parent memo.
+    parent. The star-clique flags are solved once per table and settle every
+    contraction at a 1-unique vertex: G/uv is a subgraph of the transform at
+    u and at v. ``value``, when given, must be td(g); it seeds the parent
+    memo.
     """
 
     def __init__(self, g: Graph, value: int | None = None, max_vertices: int = MAX_VERTICES):
@@ -196,6 +200,7 @@ class _MinorTable:
             _check_budget(g, max_vertices)
             value = self.solver.td(self.full)
         self.value = self.solver.memo[self.full] = value
+        self._flags: tuple[bool, ...] | None = None
 
     def _drops(self, adj: Sequence[int], dropped: int = 0) -> bool:
         return _MinorSolver(self.solver, adj, dropped).td(self.full ^ dropped) < self.value
@@ -211,26 +216,30 @@ class _MinorTable:
         for v in range(self.g.n):
             yield int(self.solver.td(self.full ^ (1 << v)) < self.value)
 
-    def contractions(
-        self, edges: Iterable[tuple[int, int]] | None = None
-    ) -> Iterator[tuple[int, int, int]]:
-        """u keeps the merged vertex and v is dropped."""
-        adj = self.g.adj
-        for u, v in self.g.edges() if edges is None else edges:
+    def contractions(self) -> Iterator[tuple[int, int, int]]:
+        """u keeps the merged vertex and v is dropped; an edge at a 1-unique
+        vertex drops the depth without a solve."""
+        adj, flags = self.g.adj, self.one_unique()
+        for u, v in self.g.edges():
             rows = list(adj)
             rows[u] = (adj[u] | adj[v]) & ~(1 << u | 1 << v)
             for w in bits(rows[u]):
                 rows[w] |= 1 << u
-            yield u, v, int(self._drops(rows, 1 << v))
+            yield u, v, int(flags[u] or flags[v] or self._drops(rows, 1 << v))
 
-    def one_unique(self, vertices: Iterable[int] | None = None) -> Iterator[bool]:
+    def one_unique(self) -> tuple[bool, ...]:
+        """The 1-unique flag of every vertex, solved on the first call."""
+        if self._flags is None:
+            self._flags = tuple(self.star_clique_drops(v) for v in range(self.g.n))
+        return self._flags
+
+    def star_clique_drops(self, v: int) -> bool:
         """Is v 1-unique: does the star-clique transform at v lower td?"""
         adj = self.g.adj
-        for v in range(self.g.n) if vertices is None else vertices:
-            rows = list(adj)
-            for w in bits(adj[v]):
-                rows[w] |= adj[v] & ~(1 << w)
-            yield self._drops(rows, 1 << v)
+        rows = list(adj)
+        for w in bits(adj[v]):
+            rows[w] |= adj[v] & ~(1 << w)
+        return self._drops(rows, 1 << v)
 
 
 def _check_budget(g: Graph, max_vertices: int) -> None:
@@ -307,13 +316,19 @@ def verify_feasible(g: Graph, labels) -> FeasibilityCheck:
         raise ValueError(f"labeling length {len(labels)} != n {g.n}")
     if any(c < 1 for c in labels):
         raise ValueError("labels must be positive integers")
-    for c in sorted(set(labels)):
-        mask = 0
-        for v, lv in enumerate(labels):
-            if lv <= c:
-                mask |= 1 << v
+    classes: dict[int, int] = {}
+    for v, c in enumerate(labels):
+        classes[c] = classes.get(c, 0) | 1 << v
+    mask = 0
+    for c in sorted(classes):
+        cls = classes[c]
+        mask |= cls
+        if not cls & (cls - 1):
+            continue  # a lone vertex labeled c cannot repeat
         for comp in mask_components(g.adj, mask):
-            hits = [v for v in bits(comp) if labels[v] == c]
-            if len(hits) >= 2:
-                return FeasibilityCheck(False, (c, hits[0], hits[1]))
+            hits = comp & cls
+            if hits & (hits - 1):
+                low = hits & -hits
+                rest = hits ^ low
+                return FeasibilityCheck(False, (c, low.bit_length() - 1, (rest & -rest).bit_length() - 1))
     return FeasibilityCheck(True)

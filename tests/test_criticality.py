@@ -22,9 +22,12 @@ from tdlab import (
     one_unique_vertices,
     path,
     pattern,
+    t_uniqueness,
     tree_depth,
     tree_depth_decision,
 )
+from tdlab import solver as solver_module
+from tdlab.solver import _MinorTable
 
 from test_graphs import random_graph
 
@@ -85,11 +88,54 @@ def test_critical_flavors_from_definitions():
         assert is_minor_critical(g) == (edges_drop and verts_drop and contr_drop)
 
 
-def test_contraction_shortcut_agrees_with_full_check():
-    for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            if g.is_connected():
-                assert is_minor_critical(g) == is_minor_critical(g, shortcut=True)
+def test_settled_contractions_match_exact_solves_n7():
+    # n <= 6 is covered by test_minor_table_matches_exact_minor_solves; these
+    # are the n = 7 graphs whose edge and vertex stages all drop the depth,
+    # so a minor-criticality check reaches their contraction stage
+    checked = 0
+    for g in enumerate_graphs(7):
+        table = _MinorTable(g)
+        if not all(d for *_, d in table.edge_deletions()) or not all(table.vertex_deletions()):
+            continue
+        checked += 1
+        value = table.value
+        assert list(table.contractions()) == [
+            (u, v, value - tree_depth(g.contract_edge(u, v)).value) for u, v in g.edges()
+        ]
+    assert checked == 24
+
+
+def test_contraction_stage_solves_only_unsettled_edges(monkeypatch):
+    made = []
+
+    class Recording(solver_module._MinorSolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(solver_module, "_MinorSolver", Recording)
+    for g in (complete(5), cycle(5)):
+        table = _MinorTable(g)
+        assert table.one_unique() == (True,) * 5
+        assert len(made) == 5  # one star-clique solve per vertex
+        made.clear()
+        assert list(table.contractions()) == [(u, v, 1) for u, v in g.edges()]
+        assert table.one_unique() == (True,) * 5
+        assert not made
+    # an edge between two vertices that are not 1-unique is solved
+    g = path(5)
+    table = _MinorTable(g)
+    flags = table.one_unique()
+    made.clear()
+    list(table.contractions())
+    assert len(made) == sum(1 for u, v in g.edges() if not flags[u] and not flags[v]) > 0
+
+
+def test_report_min_t_matches_t_uniqueness():
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    assert len(graphs) == 208
+    for g in graphs:
+        assert criticality_report(g).min_t == tuple(t_uniqueness(g, v) for v in range(g.n))
 
 
 def test_report_complete_graph():

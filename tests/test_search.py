@@ -23,6 +23,7 @@ from tdlab import (
     to_graph6,
     tree_depth,
 )
+from tdlab import search as search_module
 from tdlab.search import ENUM_MAX_N, _enumerated_graph6
 
 from oracles import ref_isomorphism_classes
@@ -138,6 +139,39 @@ def test_threads_give_identical_results():
     one = run_search(SearchJob(td_target=4, n=6, critical=True, threads=1))
     two = run_search(SearchJob(td_target=4, n=6, critical=True, threads=2))
     assert one == two
+
+
+def test_threads_must_be_positive(monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(search_module, "Pool", no_pool)
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            run_search(SearchJob(td_target=3, n=5, threads=threads))
+
+
+def test_pool_never_outnumbers_lines(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, chunksize):
+            return [fn(a) for a in args]
+
+    monkeypatch.setattr(search_module, "Pool", SerialPool)
+    lines = (to_graph6(cycle(5)), to_graph6(path(5)))
+    res = run_search(SearchJob(td_target=4, graph6_lines=lines, threads=8))
+    assert sizes == [2]
+    assert res == run_search(SearchJob(td_target=4, graph6_lines=lines))
 
 
 def test_hits_are_deduplicated_across_isomorphs():
