@@ -179,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="graph file (default: stdin)")
         p.add_argument("--format", choices=("g6", "edges"), help="override input auto-detection")
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--budget", type=int, default=MAX_VERTICES,
-                       help=f"vertex cap for the solver (<= {MAX_VERTICES})")
 
     p_td = sub.add_parser("td", help="tree-depth with witness labeling")
     add_graph_input(p_td)
@@ -194,6 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="criticality and uniqueness report")
     add_graph_input(p_report)
     p_report.set_defaults(fn=_cmd_report)
+
+    for p in (p_td, p_report):
+        p.add_argument("--budget", type=int, default=MAX_VERTICES,
+                       help=f"vertex cap for the solver (<= {MAX_VERTICES})")
 
     p_family = sub.add_parser("family", help="emit a named family member as graph6")
     p_family.add_argument("name", choices=FAMILY_NAMES)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .graphs import Graph
-from .labelings import T_UNIQUE_MAX_N, T_UNIQUE_MAX_TD, _t_uniqueness
+from .labelings import _t_uniqueness, _within_t_cap
 from .solver import MAX_VERTICES, _MinorTable
 
 
@@ -108,12 +108,13 @@ def critical_spanning_subgraph(g: Graph) -> Graph:
 class CriticalityReport:
     """Everything the search pipeline records per graph.
 
-    Deltas are td(g) minus the depth after the operation. min_t is 1 exactly
-    at the one_unique flags; any other entry comes from the labeling search
-    from t = 2 on, and is None either when no optimal labeling isolates the
-    vertex at any label or when the instance exceeds the t_uniqueness cap
-    (n <= 10, td <= 6; complete graphs are exempt). The criticality booleans
-    and one_unique flags are always exact.
+    Deltas are td(g) minus the depth after the operation. Within the
+    t_uniqueness cap (n <= 10 and td <= 6, or g complete), min_t is 1
+    exactly at the one_unique flags, and any other entry comes from the
+    labeling search from t = 2 on; it is None when no optimal labeling
+    isolates the vertex at any label. Beyond the cap every min_t entry is
+    None, 1-unique vertices included. The criticality booleans and
+    one_unique flags are always exact.
     conjecture_checks: "order" is n <= 2^(td-1), "maxdeg" is
     max degree <= td - 1.
     """
@@ -178,7 +179,7 @@ def _report(table: _MinorTable) -> CriticalityReport:
     contraction_deltas = tuple(table.contractions())
     vertex_deltas = tuple(table.vertex_deletions())
     ou = table.one_unique()
-    if g.is_complete() or (g.n <= T_UNIQUE_MAX_N and value <= T_UNIQUE_MAX_TD):
+    if _within_t_cap(g, value):
         min_t = tuple(1 if ou[v] else _t_uniqueness(g, v, value, 2) for v in range(g.n))
     else:
         min_t = (None,) * g.n

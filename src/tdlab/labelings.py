@@ -8,6 +8,14 @@ label budget is td(g) even if not every value in 1..td(g) is used.
 t-uniqueness follows the reading: vertex v is t-unique when some optimal
 labeling assigns label t to v and to no other vertex; t_uniqueness returns
 the least such t (None if no optimal labeling ever isolates v).
+
+feasible_labelings labels the vertices in id order and keeps one bitmask
+per label class. After each assignment it runs the solver's path-condition
+check, the one behind verify_feasible, on the labeled prefix, and prunes
+the prefix if a class repeats. The pruning is exact: the prefix was
+feasible before its last vertex was labeled, so a repeat involves that
+vertex, and labeling more vertices only grows the level subgraphs, which
+never splits the component that holds the repeat.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import BudgetError
-from .graphs import Graph, bits
-from .solver import tree_depth, verify_feasible
+from .graphs import Graph
+from .solver import _first_repeat, tree_depth, verify_feasible
 
 T_UNIQUE_MAX_N = 10
 T_UNIQUE_MAX_TD = 6
@@ -39,33 +47,6 @@ def format_labeling(labels: Sequence[int]) -> str:
     return ",".join(str(c) for c in labels)
 
 
-def _partial_violation(adj: Sequence[int], labels: list[int], v: int) -> bool:
-    # Assigning v can only create violations in components containing v,
-    # and a violation among assigned vertices can never be repaired later.
-    c = labels[v]
-    top = max(labels[: v + 1])
-    for level in range(c, top + 1):
-        mask = 0
-        for w in range(v + 1):
-            if labels[w] <= level:
-                mask |= 1 << w
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            grown = 0
-            for w in bits(frontier):
-                grown |= adj[w]
-            frontier = grown & mask & ~comp
-            comp |= frontier
-        count = 0
-        for w in bits(comp):
-            if labels[w] == level:
-                count += 1
-                if count >= 2:
-                    return True
-    return False
-
-
 def feasible_labelings(
     g: Graph,
     max_label: int,
@@ -73,8 +54,8 @@ def feasible_labelings(
 ) -> Iterator[tuple[int, ...]]:
     """All feasible labelings with labels in 1..max_label, in lexicographic
     order of the label array. ``allowed`` optionally restricts the label
-    choices per vertex. Backtracking with partial-feasibility pruning; the
-    pruning is lossless because partial violations are permanent.
+    choices per vertex. Backtracking with the pruning rule of the module
+    docstring.
     """
     n = g.n
     if n == 0:
@@ -88,16 +69,19 @@ def feasible_labelings(
         choices = [sorted(set(a) & set(range(1, max_label + 1))) for a in allowed]
     adj = g.adj
     labels = [0] * n
+    cls = [0] * (max_label + 1)  # mask of the labeled vertices per label
 
     def go(v: int) -> Iterator[tuple[int, ...]]:
         if v == n:
             yield tuple(labels)
             return
+        bit = 1 << v
         for c in choices[v]:
             labels[v] = c
-            if not _partial_violation(adj, labels, v):
+            cls[c] |= bit
+            if _first_repeat(adj, enumerate(cls)) is None:
                 yield from go(v + 1)
-        labels[v] = 0
+            cls[c] ^= bit
 
     yield from go(0)
 
@@ -206,6 +190,12 @@ def t_uniqueness(g: Graph, v: int) -> int | None:
     return _t_uniqueness(g, v, None)
 
 
+def _within_t_cap(g: Graph, value: int) -> bool:
+    """Does t_uniqueness answer for g, of tree-depth ``value``, without
+    hitting its cap? Complete graphs always do."""
+    return g.is_complete() or (g.n <= T_UNIQUE_MAX_N and value <= T_UNIQUE_MAX_TD)
+
+
 def _t_uniqueness(g: Graph, v: int, value: int | None, start: int = 1) -> int | None:
     """t_uniqueness where ``value`` is td(g) if the caller knows it, else
     None, searching t from ``start`` on; the caller vouches that no smaller
@@ -213,7 +203,7 @@ def _t_uniqueness(g: Graph, v: int, value: int | None, start: int = 1) -> int | 
     if g.is_complete():
         return 1
     value = tree_depth(g).value if value is None else value
-    if g.n > T_UNIQUE_MAX_N or value > T_UNIQUE_MAX_TD:
+    if not _within_t_cap(g, value):
         raise BudgetError(
             f"t_uniqueness capped at n <= {T_UNIQUE_MAX_N}, td <= {T_UNIQUE_MAX_TD}"
         )

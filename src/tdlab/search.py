@@ -21,7 +21,7 @@ from typing import Any, Iterable, Iterator
 
 from .criticality import CriticalityReport, _minor_critical, _report
 from .errors import BudgetError
-from .graphs import Graph, canonical_form, parse_graph6
+from .graphs import CANONICAL_MAX_N, Graph, canonical_form, parse_graph6
 from .solver import MAX_VERTICES, _MinorTable
 
 ENUM_MAX_N = 7
@@ -147,8 +147,9 @@ class SearchResult:
 
 
 def _screen_one(args: tuple[str, int, bool, bool, bool, int, bool]) -> dict[str, Any]:
-    """Screen one graph6 line; returns a plain dict so it pickles cheaply.
-    A line flagged canonical (the built-in census) is its own canonical form.
+    """Screen one graph6 line; returns a dict of flags, plus the canonical
+    key and the CriticalityReport of a hit, all of which pickle. A line
+    flagged canonical (the built-in census) is its own canonical form.
 
     Stage order: budget, connectivity filter, td == target (the exact solve
     of the minor table's parent), then the table's edge, vertex and
@@ -178,8 +179,8 @@ def _screen_one(args: tuple[str, int, bool, bool, bool, int, bool]) -> dict[str,
         return out
     report = _report(table)
     out["hit"] = True
-    out["canon"] = canonical_form(g) if g.n <= 10 and not canonical else g6
-    out["report"] = report.to_dict()
+    out["canon"] = canonical_form(g) if g.n <= CANONICAL_MAX_N and not canonical else g6
+    out["report"] = report
     if out["critical"] is None:
         out["critical"] = report.is_minor_critical
         out["counterexample"] = report.is_minor_critical and not report.is_one_unique_graph
@@ -252,7 +253,7 @@ def run_search(job: SearchJob) -> SearchResult:
     by_canon: dict[str, CriticalityReport] = {}
     for s in screened:
         if s.get("hit") and s["canon"] not in by_canon:
-            by_canon[s["canon"]] = CriticalityReport.from_dict(s["report"])
+            by_canon[s["canon"]] = s["report"]
     hits = tuple(sorted(by_canon.items()))
     counters = SearchCounters(
         graphs_scanned=scanned,

@@ -51,7 +51,7 @@ order of smallest vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError
 from .graphs import Graph, bits, mask_components
@@ -319,16 +319,28 @@ def verify_feasible(g: Graph, labels) -> FeasibilityCheck:
     classes: dict[int, int] = {}
     for v, c in enumerate(labels):
         classes[c] = classes.get(c, 0) | 1 << v
-    mask = 0
-    for c in sorted(classes):
-        cls = classes[c]
-        mask |= cls
+    repeat = _first_repeat(g.adj, sorted(classes.items()))
+    if repeat is None:
+        return FeasibilityCheck(True)
+    c, hits = repeat
+    low = hits & -hits
+    rest = hits ^ low
+    return FeasibilityCheck(False, (c, low.bit_length() - 1, (rest & -rest).bit_length() - 1))
+
+
+def _first_repeat(adj: Sequence[int], classes: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
+    """The path condition on label classes, given as (label, mask) pairs in
+    ascending label order: the first (label, hits) where one component of
+    the vertices labeled at most label holds the two or more vertices
+    ``hits`` of that label's class, components taken by smallest vertex;
+    None if no class repeats. Vertices in no class count as unlabeled."""
+    level = 0
+    for c, cls in classes:
+        level |= cls
         if not cls & (cls - 1):
             continue  # a lone vertex labeled c cannot repeat
-        for comp in mask_components(g.adj, mask):
+        for comp in mask_components(adj, level):
             hits = comp & cls
             if hits & (hits - 1):
-                low = hits & -hits
-                rest = hits ^ low
-                return FeasibilityCheck(False, (c, low.bit_length() - 1, (rest & -rest).bit_length() - 1))
-    return FeasibilityCheck(True)
+                return c, hits
+    return None

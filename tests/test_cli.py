@@ -91,6 +91,14 @@ def test_check_labeling_wrong_length(capsys, monkeypatch):
     assert "usage error" in err
 
 
+def test_budget_only_where_a_solver_runs(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-labeling", "--budget", "3", "1,2,1"])
+    assert exc.value.code == 2
+    code, _, err = run(capsys, ["report", "--budget", "4"], stdin="Dhc\n", monkeypatch=monkeypatch)
+    assert code == 1 and "error:" in err
+
+
 def test_report_human(capsys, monkeypatch):
     code, out, _ = run(capsys, ["report"], stdin="Dhc\n", monkeypatch=monkeypatch)
     assert code == 0

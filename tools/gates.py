@@ -1,0 +1,113 @@
+"""Identity gates: one sha256 line per exact output, plus the package size.
+
+Run it on two checkouts and diff the outputs; equal lines mean the change
+kept that output byte-identical. The package under test is whichever
+``tdlab`` the interpreter imports, so point PYTHONPATH at a checkout:
+
+    PYTHONPATH=src python3 tools/gates.py > after.txt
+    PYTHONPATH=/path/to/other/src python3 tools/gates.py > before.txt
+    diff before.txt after.txt
+
+The last line counts the code lines of the imported package, without
+docstrings, comments and blank lines. One run takes one to two minutes on
+a 2-core machine with Python 3.11, most of it in the labeling stream.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import io
+import json
+import tokenize
+from pathlib import Path
+
+import tdlab
+from tdlab.verify import _graphs_upto
+
+# The six screens of the census-n7 benchmark workload: (--critical, --td),
+# each run over all graphs on 7 vertices with --non-1-unique.
+SCREENS = ((True, 3), (True, 4), (True, 5), (True, 6), (False, 3), (False, 6))
+NON_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _check_text(check: tdlab.FeasibilityCheck) -> str:
+    return f"{check.feasible} {check.violation}\n"
+
+
+def labeling_gates() -> list[str]:
+    """The feasible_labelings(g, g.n) stream over all graphs n <= 6, and
+    verify_feasible on each labeling and on it with its last label set to
+    its first."""
+    stream, checks = hashlib.sha256(), hashlib.sha256()
+    count = infeasible = 0
+    for g in _graphs_upto(6):
+        stream.update(f"{tdlab.to_graph6(g)}\n".encode())
+        for lab in tdlab.feasible_labelings(g, g.n):
+            count += 1
+            stream.update(f"{tdlab.format_labeling(lab)}\n".encode())
+            bent = lab[:-1] + lab[:1]
+            bent_check = tdlab.verify_feasible(g, bent)
+            infeasible += not bent_check
+            checks.update(_check_text(tdlab.verify_feasible(g, lab)).encode())
+            checks.update(_check_text(bent_check).encode())
+    return [
+        f"feasible_labelings n<=6: {count} labelings {stream.hexdigest()}",
+        f"FeasibilityCheck n<=6: {2 * count} checks, {infeasible} infeasible {checks.hexdigest()}",
+    ]
+
+
+def report_gate() -> str:
+    """CriticalityReport.to_dict JSON of every graph with n <= 7."""
+    digest, count = hashlib.sha256(), 0
+    for g in _graphs_upto(7):
+        count += 1
+        report = tdlab.criticality_report(g).to_dict()
+        digest.update(f"{tdlab.to_graph6(g)} {json.dumps(report, sort_keys=True)}\n".encode())
+    return f"criticality_report n<=7: {count} graphs {digest.hexdigest()}"
+
+
+def search_gates() -> list[str]:
+    out = []
+    for critical, td in SCREENS:
+        job = tdlab.SearchJob(td_target=td, n=7, critical=critical, non_one_unique=True)
+        text = tdlab.run_search(job).to_json()
+        out.append(
+            f"run_search n=7 td={td} critical={critical}: "
+            f"{hashlib.sha256(text.encode()).hexdigest()}"
+        )
+    return out
+
+
+def code_lines(package: Path) -> int:
+    """Lines holding a token other than a comment, outside docstrings."""
+    total = 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        docstrings: set[int] = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = node.body[0] if node.body else None
+                if (
+                    isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)
+                ):
+                    docstrings.update(range(first.lineno, first.end_lineno + 1))
+        lines: set[int] = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in NON_CODE:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines - docstrings)
+    return total
+
+
+def main() -> None:
+    for line in labeling_gates() + [report_gate()] + search_gates():
+        print(line)
+    print(f"code lines in the tdlab package: {code_lines(Path(tdlab.__file__).parent)}")
+
+
+if __name__ == "__main__":
+    main()
