@@ -15,6 +15,7 @@ from .criticality import (
     is_one_unique_vertex,
     is_subgraph_critical,
     one_unique_vertices,
+    t_uniqueness,
 )
 from .errors import BudgetError, Graph6Error
 from .families import (
@@ -58,7 +59,6 @@ from .labelings import (
     parse_labeling,
     reduce_labeling,
     standard_labeling_andrasfai,
-    t_uniqueness,
 )
 from .search import (
     SearchCounters,

@@ -29,8 +29,35 @@ test is the same exact solve as a minor's, asking whether td(h) < td(g).
 So a 1-unique vertex v settles the minors at it: g - v and g/uv (merged
 vertex kept as u) are subgraphs of h on V - v, since h keeps every edge of
 g - v and u's new neighbours N(v) - u lie in the clique on N(v).
-Hence td(g/uv) <= td(h) < td(g), and likewise when u is 1-unique. The
-report's min_t reads t = 1 from the same flags.
+Hence td(g/uv) <= td(h) < td(g), and likewise when u is 1-unique.
+
+t-uniqueness follows the reading: v is t-unique when some optimal labeling
+(feasible, labels at most td(g)) gives v the label t and no other vertex
+that label; min_t is the least such t, None if there is none. Write
+elim(g, S) for the graph on V - S that joins x and y when some path between
+them runs inside S (the solver module). Then v is t-unique iff some subset
+L of V - v has td(g[L]) <= t - 1 and td(elim(g, L + v)) <= td(g) - t; this
+is the path lemma of the elimination game (Rose, Tarjan and Lueker, 1976).
+
+* Only if: let L be the vertices labeled below t and U those labeled above
+  t. The labeling restricted to L is feasible, so td(g[L]) <= t - 1. On U,
+  the labels minus t label elim(g, L + v) with 1..td(g) - t: a path of it
+  between two equal labels expands, edge by edge, into a walk of g whose
+  added vertices are labeled at most t, below both ends. A path of g
+  inside that walk meets a higher label, and only a vertex of U, which is
+  on the eliminated graph's path, can carry it.
+* If: label L by a labeling of g[L] in 1..t - 1, v by t, and U = V - L - v
+  by t plus a labeling of elim(g, L + v) in 1..td(g) - t. A path of g
+  between two equal labels below t meets a higher label inside L, by the
+  labeling of g[L], or leaves L through one. A path between two equal
+  labels above t leaves U only through runs inside one component of
+  g[L + v], each of which the eliminated graph shortcuts by an edge, so it
+  meets a higher label in U. The label t is v's alone.
+
+L = {} is the star-clique test, so min_t is 1 exactly at the one_unique
+flags. A larger t needs td(g[L]) = t - 1 exactly, since a shallower L
+already passes at a smaller t, and td(g - L - v) <= td(g) - t, since
+g - L - v is a subgraph of elim(g, L + v).
 """
 
 from __future__ import annotations
@@ -39,14 +66,22 @@ from dataclasses import dataclass
 from typing import Any
 
 from .graphs import Graph
-from .labelings import _t_uniqueness, _within_t_cap
-from .solver import MAX_VERTICES, _MinorTable
+from .solver import MAX_VERTICES, T_UNIQUE_MAX_N, _MinorTable
 
 
 def is_one_unique_vertex(g: Graph, v: int) -> bool:
     if not 0 <= v < g.n:
         raise ValueError(f"no vertex {v}")
     return _MinorTable(g).star_clique_drops(v)
+
+
+def t_uniqueness(g: Graph, v: int) -> int | None:
+    """Least t such that some optimal labeling assigns t to v uniquely, None
+    if no t does. A vertex that is not 1-unique raises BudgetError past
+    T_UNIQUE_MAX_N vertices."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"no vertex {v}")
+    return _MinorTable(g).min_t(v)
 
 
 def one_unique_vertices(g: Graph) -> tuple[bool, ...]:
@@ -108,12 +143,10 @@ def critical_spanning_subgraph(g: Graph) -> Graph:
 class CriticalityReport:
     """Everything the search pipeline records per graph.
 
-    Deltas are td(g) minus the depth after the operation. Within the
-    t_uniqueness cap (n <= 10 and td <= 6, or g complete), min_t is 1
-    exactly at the one_unique flags, and any other entry comes from the
-    labeling search from t = 2 on; it is None when no optimal labeling
-    isolates the vertex at any label. Beyond the cap every min_t entry is
-    None, 1-unique vertices included. The criticality booleans and
+    Deltas are td(g) minus the depth after the operation. min_t is 1
+    exactly at the one_unique flags. Any other entry is the least t at
+    which an optimal labeling gives the vertex a unique label, or None when
+    no t does or when n > T_UNIQUE_MAX_N. The criticality booleans and
     one_unique flags are always exact.
     conjecture_checks: "order" is n <= 2^(td-1), "maxdeg" is
     max degree <= td - 1.
@@ -179,10 +212,7 @@ def _report(table: _MinorTable) -> CriticalityReport:
     contraction_deltas = tuple(table.contractions())
     vertex_deltas = tuple(table.vertex_deletions())
     ou = table.one_unique()
-    if _within_t_cap(g, value):
-        min_t = tuple(1 if ou[v] else _t_uniqueness(g, v, value, 2) for v in range(g.n))
-    else:
-        min_t = (None,) * g.n
+    min_t = tuple(table.min_t(v) if ou[v] or g.n <= T_UNIQUE_MAX_N else None for v in range(g.n))
     sub_critical = all(d for _, _, d in edge_deltas)
     ind_critical = all(vertex_deltas)
     minor_critical = sub_critical and ind_critical and all(d for _, _, d in contraction_deltas)

@@ -29,20 +29,6 @@ FORBIDDEN_LISTS: dict[int, tuple[str, ...]] = {
     2: ("4K1", "2K2+K1", "P3+K2", "2K3"),
 }
 
-FAMILY_NAMES = (
-    "complete",
-    "cycle",
-    "path",
-    "cycle_complement",
-    "g4k",
-    "k_net",
-    "clique_prism",
-    "h_graph",
-    "andrasfai",
-    "pattern",
-)
-
-
 def pattern(pattern_id: str) -> Graph:
     if pattern_id not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern_id!r}")
@@ -140,25 +126,30 @@ class FamilySpec:
     pattern_id: str | None = None
 
 
+# family name -> builder of the member with the given parameter; "pattern"
+# takes a pattern id instead
+_BUILDERS = {
+    "complete": complete,
+    "cycle": cycle,
+    "path": path,
+    "cycle_complement": cycle_complement,
+    "g4k": g4k,
+    "k_net": k_net,
+    "clique_prism": clique_prism,
+    "h_graph": h_graph,
+    "andrasfai": andrasfai,
+}
+FAMILY_NAMES = tuple(_BUILDERS) + ("pattern",)
+
+
 def generate(spec: FamilySpec) -> Graph:
-    if spec.name not in FAMILY_NAMES:
-        raise ValueError(f"unknown family {spec.name!r}")
     if spec.name == "pattern":
         if spec.pattern_id is None:
             raise ValueError("pattern family needs pattern_id")
         return pattern(spec.pattern_id)
-    builder = {
-        "complete": complete,
-        "cycle": cycle,
-        "path": path,
-        "cycle_complement": cycle_complement,
-        "g4k": g4k,
-        "k_net": k_net,
-        "clique_prism": clique_prism,
-        "h_graph": h_graph,
-        "andrasfai": andrasfai,
-    }[spec.name]
-    return builder(spec.param)
+    if spec.name not in _BUILDERS:
+        raise ValueError(f"unknown family {spec.name!r}")
+    return _BUILDERS[spec.name](spec.param)
 
 
 def fk_free(g: Graph, k: int) -> bool:

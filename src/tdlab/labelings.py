@@ -5,17 +5,15 @@ every path between two vertices with equal labels passes through a higher
 label. "Optimal" here means feasible with maximum label at most td(g): the
 label budget is td(g) even if not every value in 1..td(g) is used.
 
-t-uniqueness follows the reading: vertex v is t-unique when some optimal
-labeling assigns label t to v and to no other vertex; t_uniqueness returns
-the least such t (None if no optimal labeling ever isolates v).
-
 feasible_labelings labels the vertices in id order and keeps one bitmask
 per label class. After each assignment it runs the solver's path-condition
 check, the one behind verify_feasible, on the labeled prefix, and prunes
 the prefix if a class repeats. The pruning is exact: the prefix was
 feasible before its last vertex was labeled, so a repeat involves that
 vertex, and labeling more vertices only grows the level subgraphs, which
-never splits the component that holds the repeat.
+never splits the component that holds the repeat. For the same reason the
+check starts at the level of the label just assigned: every level below it
+holds the same vertices as at the last check, which passed.
 """
 
 from __future__ import annotations
@@ -24,12 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import BudgetError
 from .graphs import Graph
 from .solver import _first_repeat, tree_depth, verify_feasible
-
-T_UNIQUE_MAX_N = 10
-T_UNIQUE_MAX_TD = 6
 
 
 def parse_labeling(text: str) -> tuple[int, ...]:
@@ -79,7 +73,7 @@ def feasible_labelings(
         for c in choices[v]:
             labels[v] = c
             cls[c] |= bit
-            if _first_repeat(adj, enumerate(cls)) is None:
+            if _first_repeat(adj, enumerate(cls[c:], c), sum(cls[:c])) is None:
                 yield from go(v + 1)
             cls[c] ^= bit
 
@@ -176,42 +170,3 @@ def standard_labeling_andrasfai(k: int) -> tuple[int, ...]:
         else:
             out.append((2 * x + 5) // 3)
     return tuple(out)
-
-
-def t_uniqueness(g: Graph, v: int) -> int | None:
-    """Least t such that some optimal labeling assigns t to v uniquely.
-
-    Complete graphs short-circuit to 1 (optimal labelings are injective and
-    some one starts at v). Otherwise the exhaustive search is capped at
-    n <= 10 and td <= 6; beyond the cap a BudgetError is raised.
-    """
-    if not 0 <= v < g.n:
-        raise ValueError(f"no vertex {v}")
-    return _t_uniqueness(g, v, None)
-
-
-def _within_t_cap(g: Graph, value: int) -> bool:
-    """Does t_uniqueness answer for g, of tree-depth ``value``, without
-    hitting its cap? Complete graphs always do."""
-    return g.is_complete() or (g.n <= T_UNIQUE_MAX_N and value <= T_UNIQUE_MAX_TD)
-
-
-def _t_uniqueness(g: Graph, v: int, value: int | None, start: int = 1) -> int | None:
-    """t_uniqueness where ``value`` is td(g) if the caller knows it, else
-    None, searching t from ``start`` on; the caller vouches that no smaller
-    t isolates v."""
-    if g.is_complete():
-        return 1
-    value = tree_depth(g).value if value is None else value
-    if not _within_t_cap(g, value):
-        raise BudgetError(
-            f"t_uniqueness capped at n <= {T_UNIQUE_MAX_N}, td <= {T_UNIQUE_MAX_TD}"
-        )
-    everything = range(1, value + 1)
-    for t in range(start, value + 1):
-        others = [c for c in everything if c != t]
-        allowed: list[Sequence[int]] = [others] * g.n
-        allowed[v] = [t]
-        if next(iter(feasible_labelings(g, value, allowed)), None) is not None:
-            return t
-    return None

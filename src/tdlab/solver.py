@@ -25,21 +25,31 @@ builds a greedy elimination forest: a component of more than ten vertices is
 topped by its vertex of highest degree, and a smaller one is solved exactly,
 so its height bounds td(g) from above (td(S) <= 1 + td(S - v) for every v).
 A height <= k answers yes; otherwise the exact solve on the same solver
-decides. The minor table runs the recursion on each star-clique transform
-h of g and on each single-step minor h that the transforms do not settle,
-kept in g's vertex numbering with the dropped vertex v out of every mask.
-A subset S that h and g induce alike is solved by g's solver. Any other S
-starts its scan with hi = td_g(S') - 1 in place of 0, where S' is S plus
-the dropped vertex, when g's memo holds that depth; then the scan stops as
-soon as 1 + min td_h(S - x) reaches it. The floor holds because
-td(h[S]) >= td(g[S']) - 1:
+decides.
+
+The minor table runs the recursion on each single-step minor h of g that
+its 1-unique flags do not settle, and on each elimination elim(g, D): the
+graph on V - D in which x and y are adjacent when some path joins them
+whose inner vertices all lie in D (the neighbourhood of each component of
+g[D] becomes a clique, then D is deleted). h stays in g's vertex numbering
+with its dropped set D (empty for an edge deletion, the merged-away vertex
+for a contraction) out of every mask. A subset S that h and g induce alike
+is solved by g's solver. Any other S starts its scan with
+hi = td_g(S + D) - max(1, td_g(D)) in place of 0, when g's memo holds
+td_g(S + D); then the scan stops as soon as 1 + min td_h(S - x) reaches it.
+The floor holds because td(h[S]) >= td(g[S + D]) - max(1, td(g[D])):
 
 * h[S] = g[S] - uv: u as a new root over a forest of g[S] - u, a subgraph
   of h[S], gives a forest of g[S];
-* h[S] = g[S']/uv: split the merged vertex of a forest of h[S] into a
+* h[S] = g[S + v]/uv: split the merged vertex of a forest of h[S] into a
   two-vertex chain (proof in the criticality module);
-* h[S] = g[S'] with v star-clique transformed: v as a new root over a
-  forest of h[S], which contains g[S], gives a forest of g[S'].
+* h[S] = elim(g, D)[S], which is elim(g[S + D], D): label g[D] with
+  1..td(g[D]) and h[S] above those labels. A path of g[S + D] between two
+  equal labels in D leaves D only through higher labels. A path between
+  two equal labels in S leaves S only through runs inside one component
+  of g[D], each of which h[S] shortcuts by an edge, so it meets a higher
+  label in S. D = {v} is the star-clique transform at v, where
+  td(g[D]) = 1.
 
 The witness is an elimination forest (parent map, roots = -1) whose
 height-plus-one labeling is feasible and uses exactly td(g) labels.
@@ -57,6 +67,7 @@ from .errors import BudgetError
 from .graphs import Graph, bits, mask_components
 
 MAX_VERTICES = 25
+T_UNIQUE_MAX_N = 10  # min_t scans the 2^(n-1) subsets of V - v past the flags
 _GREEDY_EXACT_MAX = 10  # greedy forests solve components this small exactly
 
 
@@ -145,19 +156,21 @@ class _SubsetSolver:
 
 class _MinorSolver(_SubsetSolver):
     """Exact tree-depth of a graph h derived from the parent's graph g by one
-    operation, given by h's adjacency rows in g's numbering; the vertex the
-    operation removes (bitmask ``dropped``, 0 for an edge deletion) stays out
+    operation, given by h's adjacency rows in g's numbering; the vertices the
+    operation removes (bitmask ``dropped``, 0 for an edge deletion) stay out
     of every mask.
 
     A subset S in which no vertex gains or loses a neighbour inside S has
     h[S] = g[S], so the parent's shared exact td answers it. Any other S is
-    solved here, starting from the lower bound td_g(S + dropped) - 1 when the
-    parent memo holds that depth (see the module docstring).
+    solved here, starting from the lower bound
+    td_g(S + dropped) - max(1, td_g(dropped)) when the parent memo holds
+    td_g(S + dropped) (see the module docstring).
     """
 
     def __init__(self, parent: _SubsetSolver, adj: Sequence[int], dropped: int = 0):
         super().__init__(adj)
         self.parent, self.dropped = parent, dropped
+        self.slack = max(1, parent.td(dropped))
         self.diff = [(a ^ b) & ~dropped for a, b in zip(adj, parent.adj)]
         self.changed = sum(1 << w for w, d in enumerate(self.diff) if d)
 
@@ -173,20 +186,20 @@ class _MinorSolver(_SubsetSolver):
 
     def _td_connected(self, mask: int, hi: int = 0) -> int:
         known = self.parent.memo.get(mask | self.dropped)
-        return super()._td_connected(mask, hi if known is None else known - 1)
+        return super()._td_connected(mask, hi if known is None else known - self.slack)
 
 
 class _MinorTable:
-    """Depth drops of the single-step minors of g, and its 1-unique flags
-    from the star-clique transforms, as lazy stages. A minor or transform h
+    """Depth drops of the single-step minors of g, its 1-unique flags and
+    its vertices' min_t, as lazy stages. A minor or star-clique transform h
     has td(h) >= td(g) - 1 (proof in the criticality module), so it drops
     the depth iff its exact depth is below td(g); every exact solve can stop
     at that floor.
 
     Vertex deletions are exact depths on the parent solver of g. Each edge
-    deletion, contraction and star-clique transform runs one _MinorSolver on
-    top of it, so the subsets that h shares with g are solved once, in the
-    parent. The star-clique flags are solved once per table and settle every
+    deletion, contraction and elimination runs one _MinorSolver on top of
+    it, so the subsets that h shares with g are solved once, in the parent.
+    The star-clique flags are solved once per table and settle every
     contraction at a 1-unique vertex: G/uv is a subgraph of the transform at
     u and at v. ``value``, when given, must be td(g); it seeds the parent
     memo.
@@ -202,15 +215,15 @@ class _MinorTable:
         self.value = self.solver.memo[self.full] = value
         self._flags: tuple[bool, ...] | None = None
 
-    def _drops(self, adj: Sequence[int], dropped: int = 0) -> bool:
-        return _MinorSolver(self.solver, adj, dropped).td(self.full ^ dropped) < self.value
+    def _depth(self, adj: Sequence[int], dropped: int = 0) -> int:
+        return _MinorSolver(self.solver, adj, dropped).td(self.full ^ dropped)
 
     def edge_deletions(self) -> Iterator[tuple[int, int, int]]:
         for u, v in self.g.edges():
             rows = list(self.g.adj)
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
-            yield u, v, int(self._drops(rows))
+            yield u, v, int(self._depth(rows) < self.value)
 
     def vertex_deletions(self) -> Iterator[int]:
         for v in range(self.g.n):
@@ -225,7 +238,7 @@ class _MinorTable:
             rows[u] = (adj[u] | adj[v]) & ~(1 << u | 1 << v)
             for w in bits(rows[u]):
                 rows[w] |= 1 << u
-            yield u, v, int(flags[u] or flags[v] or self._drops(rows, 1 << v))
+            yield u, v, int(flags[u] or flags[v] or self._depth(rows, 1 << v) < self.value)
 
     def one_unique(self) -> tuple[bool, ...]:
         """The 1-unique flag of every vertex, solved on the first call."""
@@ -235,11 +248,50 @@ class _MinorTable:
 
     def star_clique_drops(self, v: int) -> bool:
         """Is v 1-unique: does the star-clique transform at v lower td?"""
+        return self._eliminated(1 << v) < self.value
+
+    def _eliminated(self, s: int) -> int:
+        """td of elim(g, s), the graph on V - s that joins two vertices when
+        a path between them runs inside s."""
         adj = self.g.adj
         rows = list(adj)
-        for w in bits(adj[v]):
-            rows[w] |= adj[v] & ~(1 << w)
-        return self._drops(rows, 1 << v)
+        for comp in mask_components(adj, s):
+            rim = 0
+            for w in bits(comp):
+                rim |= adj[w]
+            rim &= ~s
+            for w in bits(rim):
+                rows[w] |= rim ^ 1 << w
+        return self._depth(rows, s)
+
+    def min_t(self, v: int) -> int | None:
+        """Least t at which some optimal labeling gives v, and no other
+        vertex, the label t; None if there is none (criticality module
+        docstring). 1 at a 1-unique flag, reading the flags if they are
+        solved and otherwise solving v's transform alone. Elsewhere v is
+        t-unique iff some nonempty L, a subset of V - v with
+        td(g[L]) = t - 1, has td(elim(g, L + v)) <= td(g) - t; L is skipped
+        without a solve when already td(g - L - v), a subgraph of that
+        elimination, is too deep. Raises BudgetError past T_UNIQUE_MAX_N
+        vertices, where the 2^(n-1) subsets L are too many to scan.
+        """
+        if self.star_clique_drops(v) if self._flags is None else self._flags[v]:
+            return 1
+        if self.g.n > T_UNIQUE_MAX_N:
+            raise BudgetError(f"min_t capped at n <= {T_UNIQUE_MAX_N} for vertices that are not 1-unique")
+        td, bit = self.solver.td, 1 << v
+        rest = self.full ^ bit
+        candidates = []
+        sub = rest
+        while sub:
+            depth = td(sub)
+            if depth + td(rest ^ sub) < self.value:
+                candidates.append((depth, sub))
+            sub = (sub - 1) & rest
+        for depth, sub in sorted(candidates):
+            if depth + self._eliminated(sub | bit) < self.value:
+                return depth + 1
+        return None
 
 
 def _check_budget(g: Graph, max_vertices: int) -> None:
@@ -328,13 +380,16 @@ def verify_feasible(g: Graph, labels) -> FeasibilityCheck:
     return FeasibilityCheck(False, (c, low.bit_length() - 1, (rest & -rest).bit_length() - 1))
 
 
-def _first_repeat(adj: Sequence[int], classes: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
+def _first_repeat(
+    adj: Sequence[int], classes: Iterable[tuple[int, int]], level: int = 0
+) -> tuple[int, int] | None:
     """The path condition on label classes, given as (label, mask) pairs in
     ascending label order: the first (label, hits) where one component of
     the vertices labeled at most label holds the two or more vertices
     ``hits`` of that label's class, components taken by smallest vertex;
-    None if no class repeats. Vertices in no class count as unlabeled."""
-    level = 0
+    None if no class repeats. Vertices in no class count as unlabeled, but
+    ``level`` holds those of lower labels whose classes were checked
+    before."""
     for c, cls in classes:
         level |= cls
         if not cls & (cls - 1):

@@ -22,12 +22,12 @@ from tdlab import (
     one_unique_vertices,
     path,
     pattern,
-    t_uniqueness,
     tree_depth,
     tree_depth_decision,
 )
 from tdlab import solver as solver_module
 from tdlab.solver import _MinorTable
+from tdlab.verify import _direct_min_t
 
 from test_graphs import random_graph
 
@@ -132,10 +132,19 @@ def test_contraction_stage_solves_only_unsettled_edges(monkeypatch):
 
 
 def test_report_min_t_matches_t_uniqueness():
+    # against the labeling search, which shares no code with the minor
+    # table's elimination kernel; the random graphs fill the old search cap
+    # (n <= 10, td <= 6) past n = 7
     graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     assert len(graphs) == 208
+    rng = random.Random(211)
+    while len(graphs) < 208 + 16:
+        g = random_graph(rng, n=rng.randrange(8, 11))
+        if tree_depth(g).value <= 6:
+            graphs.append(g)
     for g in graphs:
-        assert criticality_report(g).min_t == tuple(t_uniqueness(g, v) for v in range(g.n))
+        r = criticality_report(g)
+        assert r.min_t == tuple(_direct_min_t(g, v, r.td) for v in range(g.n))
 
 
 def test_report_complete_graph():
@@ -161,12 +170,14 @@ def test_report_subdivided_clique():
 
 
 def test_report_min_t_outside_cap_is_none():
-    r = criticality_report(cycle_complement(9))  # td 8 is over the search cap
+    r = criticality_report(cycle_complement(9))  # td 8, within the n cap
     assert r.td == 8
-    assert r.min_t == (None,) * 9
+    assert r.min_t == (1,) * 9
     # dropping any vertex costs depth, but one edge deletion is free
     assert r.is_induced_subgraph_critical and not r.is_subgraph_critical
-    # complete graphs stay exact at any size
+    # past n = 10 only the hub, which is not 1-unique, is left unscanned
+    assert criticality_report(h_graph(6)).min_t == (None,) + (1,) * 10
+    # 1-unique vertices read 1 at any size
     assert criticality_report(complete(12)).min_t == (1,) * 12
 
 

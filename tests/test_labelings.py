@@ -223,7 +223,7 @@ def test_standard_andrasfai_labeling():
 def test_t_uniqueness_values():
     for v in range(3):
         assert t_uniqueness(complete(3), v) == 1
-    # complete graphs bypass the size cap
+    # a 1-unique vertex is not capped by size
     assert t_uniqueness(complete(12), 5) == 1
     assert [t_uniqueness(Graph.from_edges(2, []), v) for v in range(2)] == [None, None]
     assert [t_uniqueness(cycle(5), v) for v in range(5)] == [1] * 5
@@ -236,16 +236,15 @@ def test_t_uniqueness_values():
 def test_t_uniqueness_matches_star_clique_test():
     for n in range(1, 6):
         for g in enumerate_graphs(n):
-            if tree_depth(g).value > 6:
-                continue
             for v in range(g.n):
                 assert (t_uniqueness(g, v) == 1) == is_one_unique_vertex(g, v)
 
 
 def test_t_uniqueness_caps():
     with pytest.raises(BudgetError):
-        t_uniqueness(path(11), 0)  # n over the cap
+        t_uniqueness(path(11), 0)  # n over the cap, not 1-unique
     with pytest.raises(BudgetError):
-        t_uniqueness(cycle_complement(9), 0)  # td over the cap
+        t_uniqueness(h_graph(6), 0)  # the hub, n = 11, not 1-unique
+    assert t_uniqueness(cycle_complement(9), 0) == 1  # td 8 is no cap
     with pytest.raises(ValueError):
         t_uniqueness(path(3), 5)

@@ -13,9 +13,11 @@ from tdlab import (
     disjoint_union,
     enumerate_graphs,
     h_graph,
+    parse_graph6,
     path,
     pattern,
     surplus,
+    to_graph6,
     tree_depth,
     tree_depth_decision,
     verify_feasible,
@@ -345,3 +347,52 @@ def test_minor_solver_memos_are_exact(monkeypatch):
                     entries += check(g.contract_edge(u, v), v)
                 assert not made
     assert not made and entries > 10000
+
+
+def test_elimination_solver_memos_are_exact(monkeypatch):
+    # every memo entry of the elimination solvers that min_t builds, against
+    # the eliminated graph built by star-clique transforms. The floor
+    # td_g(S + D) - max(1, td_g(D)) needs td_g(D) there: with 1 in its place
+    # the memo goes wrong for eleven (graph, D) pairs with n <= 7, two of
+    # them on F@hXw, which is 1-unique, so there the kernel runs on every D;
+    # and min_t meets such a D on the n = 8 graphs GUkL@_ and GOS_do
+    made = []
+
+    class Recording(solver_module._MinorSolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def check(g):
+        checked = 0
+        for solver in made:
+            dropped = sorted(bits(solver.dropped))
+            h = g
+            for x in reversed(dropped):  # vertices above x shift down by one
+                h = h.star_clique_transform(x)
+            td = ref_tree_depth_dp(h.n, h.edges())
+            for mask, depth in solver.memo.items():
+                assert not mask & solver.dropped
+                vs = frozenset(x - sum(d < x for d in dropped) for x in bits(mask))
+                assert depth == td(vs), (to_graph6(g), dropped, mask)
+            checked += len(solver.memo)
+        made.clear()
+        return checked
+
+    monkeypatch.setattr(solver_module, "_MinorSolver", Recording)
+    rng = random.Random(71)
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [parse_graph6(line) for line in ("GUkL@_", "GOS_do")]
+    graphs += [random_graph(rng, n=rng.randrange(7, 9)) for _ in range(6)]
+    entries = 0
+    for g in graphs:
+        table = _MinorTable(g)
+        for v in range(g.n):
+            table.min_t(v)
+        entries += check(g)
+    g = parse_graph6("F@hXw")
+    table = _MinorTable(g)
+    for dropped in range(1, 1 << g.n):
+        table._eliminated(dropped)
+    entries += check(g)
+    assert entries > 5000

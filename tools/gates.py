@@ -19,6 +19,7 @@ import ast
 import hashlib
 import io
 import json
+import random
 import tokenize
 from pathlib import Path
 
@@ -68,6 +69,25 @@ def report_gate() -> str:
     return f"criticality_report n<=7: {count} graphs {digest.hexdigest()}"
 
 
+def random_report_gate(count: int = 150) -> str:
+    """CriticalityReport.to_dict JSON of seeded random graphs with
+    8 <= n <= 10 and td <= 6: the part of the old t-uniqueness search cap
+    (n <= 10, td <= 6) that the n <= 7 gate does not reach."""
+    rng = random.Random(810)
+    digest, kept = hashlib.sha256(), 0
+    while kept < count:
+        n, p = rng.randint(8, 10), rng.choice((0.3, 0.45, 0.6))
+        g = tdlab.Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        if tdlab.tree_depth(g).value > 6:
+            continue
+        kept += 1
+        report = tdlab.criticality_report(g).to_dict()
+        digest.update(f"{tdlab.to_graph6(g)} {json.dumps(report, sort_keys=True)}\n".encode())
+    return f"criticality_report 8<=n<=10, td<=6: {count} random graphs {digest.hexdigest()}"
+
+
 def search_gates() -> list[str]:
     out = []
     for critical, td in SCREENS:
@@ -104,7 +124,7 @@ def code_lines(package: Path) -> int:
 
 
 def main() -> None:
-    for line in labeling_gates() + [report_gate()] + search_gates():
+    for line in labeling_gates() + [report_gate(), random_report_gate()] + search_gates():
         print(line)
     print(f"code lines in the tdlab package: {code_lines(Path(tdlab.__file__).parent)}")
 
