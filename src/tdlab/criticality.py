@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .graphs import Graph
-from .solver import MAX_VERTICES, T_UNIQUE_MAX_N, _MinorTable
+from .solver import MAX_VERTICES, _MinorTable
 
 
 def is_one_unique_vertex(g: Graph, v: int) -> bool:
@@ -78,7 +78,8 @@ def is_one_unique_vertex(g: Graph, v: int) -> bool:
 def t_uniqueness(g: Graph, v: int) -> int | None:
     """Least t such that some optimal labeling assigns t to v uniquely, None
     if no t does. A vertex that is not 1-unique raises BudgetError past
-    T_UNIQUE_MAX_N vertices."""
+    solver.T_UNIQUE_MAX_N vertices, and any graph past the solver's
+    MAX_VERTICES does, complete graphs included."""
     if not 0 <= v < g.n:
         raise ValueError(f"no vertex {v}")
     return _MinorTable(g).min_t(v)
@@ -146,7 +147,7 @@ class CriticalityReport:
     Deltas are td(g) minus the depth after the operation. min_t is 1
     exactly at the one_unique flags. Any other entry is the least t at
     which an optimal labeling gives the vertex a unique label, or None when
-    no t does or when n > T_UNIQUE_MAX_N. The criticality booleans and
+    no t does or when n > solver.T_UNIQUE_MAX_N. The criticality booleans and
     one_unique flags are always exact.
     conjecture_checks: "order" is n <= 2^(td-1), "maxdeg" is
     max degree <= td - 1.
@@ -212,7 +213,6 @@ def _report(table: _MinorTable) -> CriticalityReport:
     contraction_deltas = tuple(table.contractions())
     vertex_deltas = tuple(table.vertex_deletions())
     ou = table.one_unique()
-    min_t = tuple(table.min_t(v) if ou[v] or g.n <= T_UNIQUE_MAX_N else None for v in range(g.n))
     sub_critical = all(d for _, _, d in edge_deltas)
     ind_critical = all(vertex_deltas)
     minor_critical = sub_critical and ind_critical and all(d for _, _, d in contraction_deltas)
@@ -223,7 +223,7 @@ def _report(table: _MinorTable) -> CriticalityReport:
         contraction_deltas=contraction_deltas,
         vertex_deletion_deltas=vertex_deltas,
         one_unique=ou,
-        min_t=min_t,
+        min_t=table.min_ts(),
         is_minor_critical=minor_critical,
         is_subgraph_critical=sub_critical,
         is_induced_subgraph_critical=ind_critical,

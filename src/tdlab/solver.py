@@ -60,6 +60,7 @@ order of smallest vertex.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -280,9 +281,8 @@ class _MinorTable:
         if self.g.n > T_UNIQUE_MAX_N:
             raise BudgetError(f"min_t capped at n <= {T_UNIQUE_MAX_N} for vertices that are not 1-unique")
         td, bit = self.solver.td, 1 << v
-        rest = self.full ^ bit
+        rest = sub = self.full ^ bit
         candidates = []
-        sub = rest
         while sub:
             depth = td(sub)
             if depth + td(rest ^ sub) < self.value:
@@ -292,6 +292,14 @@ class _MinorTable:
             if depth + self._eliminated(sub | bit) < self.value:
                 return depth + 1
         return None
+
+    def min_ts(self) -> tuple[int | None, ...]:
+        """The report's min_t of every vertex, None where min_t raises BudgetError."""
+        out: list[int | None] = [None] * self.g.n
+        for v in range(self.g.n):
+            with suppress(BudgetError):
+                out[v] = self.min_t(v)
+        return tuple(out)
 
 
 def _check_budget(g: Graph, max_vertices: int) -> None:

@@ -202,8 +202,7 @@ def _c5_h_graphs(full: bool) -> tuple[bool, str]:
 
 def _c6_forbidden_equivalence(full: bool) -> tuple[bool, str]:
     n_max = 7 if full else 6
-    checked = 0
-    bad = 0
+    checked = bad = 0
     for g in _graphs_upto(n_max):
         value = tree_depth(g).value
         for k in range(3):
@@ -216,8 +215,7 @@ def _c6_forbidden_equivalence(full: bool) -> tuple[bool, str]:
 
 def _c7_min_t_vs_direct(full: bool) -> tuple[bool, str]:
     n_max = 6 if full else 5
-    checked = 0
-    bad = 0
+    checked = bad = 0
     for g in _graphs_upto(n_max):
         report = criticality_report(g)
         for v, t in enumerate(report.min_t):

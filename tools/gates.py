@@ -69,10 +69,11 @@ def report_gate() -> str:
     return f"criticality_report n<=7: {count} graphs {digest.hexdigest()}"
 
 
-def random_report_gate(count: int = 150) -> str:
-    """CriticalityReport.to_dict JSON of seeded random graphs with
+def random_report_gate() -> str:
+    """CriticalityReport.to_dict JSON of 150 seeded random graphs with
     8 <= n <= 10 and td <= 6: the part of the old t-uniqueness search cap
     (n <= 10, td <= 6) that the n <= 7 gate does not reach."""
+    count = 150
     rng = random.Random(810)
     digest, kept = hashlib.sha256(), 0
     while kept < count:
