@@ -12,7 +12,6 @@ from graph6 line streams.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -200,6 +199,8 @@ def _job_lines(job: SearchJob) -> tuple[list[str], str]:
 
 
 def _config_hash(job: SearchJob, descriptor: str) -> str:
+    import hashlib  # here: it loads OpenSSL, about 3.5 MB of RSS that only a search needs
+
     payload = json.dumps(
         {
             "td_target": job.td_target,

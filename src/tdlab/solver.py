@@ -3,7 +3,7 @@
 tree_depth(g) follows the recursive characterization: an empty graph has
 depth 0, a disconnected graph takes the maximum over its components, and a
 connected graph costs 1 plus the best vertex deletion. The recursion is
-memoized on vertex-subset bitmasks, with three exact shortcuts:
+memoized on vertex-subset bitmasks, with four exact shortcuts:
 
 * a connected subset of size <= 2 has depth equal to its size;
 * a subset with a universal vertex v satisfies td(S) = 1 + td(S - v),
@@ -17,9 +17,37 @@ memoized on vertex-subset bitmasks, with three exact shortcuts:
   minimum plus one meets the running maximum, both equal T. The scan reads
   the children already in the memo first, in ascending order, and solves
   the others afterwards in the same order, so a memo that already shows
-  T - 1 and T ends it without a new solve.
+  T - 1 and T ends it without a new solve;
+* the scan also stops at the first child S - x of depth |S| - 2 when
+  g[S] has no 3K1 and no induced 2K2 through x, for then T = |S| - 1.
 
-Every memo entry is exact; the early exit only leaves some subsets unsolved.
+The last rule is the surplus-one lemma, the F_1 case of
+families.FORBIDDEN_LISTS: td(S) >= |S| - 1 iff g[S] has no induced 3K1
+and no induced 2K2, that is, iff the complement of g[S] has no triangle
+and no 4-cycle (a 4-cycle with a chord holds a triangle).
+
+* If td(S) <= |S| - 2: while the set is connected, delete the root of an
+  optimal forest of it. Each deletion lowers td by exactly one, so the
+  surplus |S| - td(S) stays >= 2, and a connected set of two vertices has
+  surplus 0, so a disconnected set D with surplus >= 2 is reached. With
+  three components, D holds a 3K1. With two, C and C', td(C) >= td(C'):
+  if |C'| = 1, then |C| - td(C) >= 1, so C is not complete and two
+  non-adjacent vertices of C with C' form a 3K1; if |C'| >= 2, then
+  td(C) >= 2, so both components have an edge, and the two edges form an
+  induced 2K2.
+* Conversely, each deleted vertex adds at most one level, so deleting all
+  of S but an induced 3K1 (td 1) or 2K2 (td 2) shows td(S) <= (|S| - 3) + 1
+  or (|S| - 4) + 2.
+
+By the lemma, a child S - x of depth |S| - 2 = |S - x| - 1 holds no 3K1 or
+induced 2K2, so g[S] holds one iff it holds one through x. _no_f1_through
+answers that in one pass over S: x's non-neighbours must form a clique
+(else x and two of them form a 3K1), and no neighbour y of x may miss two
+of them (else xy and the edge between those two form a 2K2). If g[S]
+holds none, td(S) >= |S| - 1 = 1 + td(S - x), which the scan has already
+reached; if it holds one, td(S) <= |S| - 2 and the scan goes on.
+
+Every memo entry is exact; the early exits only leave some subsets unsolved.
 This one recursion answers every question. tree_depth_decision(g, k) first
 builds a greedy elimination forest: a component of more than ten vertices is
 topped by its vertex of highest degree, and a smaller one is solved exactly,
@@ -125,6 +153,8 @@ class _SubsetSolver:
         # the scan is done as soon as best <= hi. One walk looks for a
         # universal vertex and reads the children already in the memo; the
         # children it had to skip are solved afterwards, in the same order.
+        # The first child of depth size - 2 makes best = size - 1, and the
+        # surplus-one test through its vertex may end the scan there.
         best = size
         unsolved = []
         rest = mask
@@ -138,21 +168,47 @@ class _SubsetSolver:
             if depth is None:
                 unsolved.append(child)
                 continue
-            if depth + 1 < best:
-                best = depth + 1
             if depth > hi:
                 hi = depth
-            if best <= hi:
+            if depth + 1 < best:
+                best = depth + 1
+                if best <= hi or best == size - 1 and _no_f1_through(adj, mask, low):
+                    return best
+            elif best <= hi:
                 return best
         for child in unsolved:
             depth = self.td(child)
-            if depth + 1 < best:
-                best = depth + 1
             if depth > hi:
                 hi = depth
-            if best <= hi:
+            if depth + 1 < best:
+                best = depth + 1
+                if best <= hi or best == size - 1 and _no_f1_through(adj, mask, mask ^ child):
+                    break
+            elif best <= hi:
                 break
         return best
+
+
+def _no_f1_through(adj: Sequence[int], mask: int, bit: int) -> bool:
+    """Does the subset hold no 3K1 and no induced 2K2 through its vertex
+    ``bit``? When the subset less that vertex holds neither, this decides
+    td(subset) >= |subset| - 1 (module docstring)."""
+    x = bit.bit_length() - 1
+    far = mask & ~adj[x] ^ bit  # the non-neighbours of x
+    rest = far
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if far & ~adj[low.bit_length() - 1] ^ low:
+            return False  # x, y and a non-neighbour of y in far: 3K1
+    rest = mask & adj[x]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        missed = far & ~adj[low.bit_length() - 1]
+        if missed & (missed - 1):
+            return False  # x, y and two vertices of the clique far that y misses: 2K2
+    return True
 
 
 class _MinorSolver(_SubsetSolver):

@@ -143,8 +143,8 @@ def _c2_andrasfai_critical(full: bool) -> tuple[bool, str]:
 
 
 def _c3_cycle_complements(full: bool) -> tuple[bool, str]:
-    n_max = 12 if full else 11
-    ks = (2, 3) if full else (2,)
+    n_max = 16 if full else 12
+    ks = (2, 3, 4) if full else (2, 3)
     bad = []
     for n in range(5, n_max + 1):
         g = cycle_complement(n)

@@ -8,10 +8,13 @@ from tdlab import (
     BudgetError,
     Graph,
     complete,
+    criticality_report,
     cycle,
     cycle_complement,
     disjoint_union,
     enumerate_graphs,
+    fk_free,
+    g4k,
     h_graph,
     parse_graph6,
     path,
@@ -24,7 +27,7 @@ from tdlab import (
 )
 from tdlab.graphs import bits
 from tdlab import solver as solver_module
-from tdlab.solver import MAX_VERTICES, _greedy_height, _MinorTable, _SubsetSolver
+from tdlab.solver import MAX_VERTICES, _greedy_height, _MinorTable, _no_f1_through, _SubsetSolver
 
 from oracles import (
     ref_feasible,
@@ -160,6 +163,67 @@ def test_memo_and_witness_match_shortcut_free_recursion():
                 w = tree_depth(g)
                 assert w.value == td(frozenset(range(n)))
                 assert (w.labeling, w.elimination_forest) == ref_witness_dp(g.n, g.edges())
+
+
+def test_surplus_one_check_matches_the_forbidden_list():
+    # when g - x has no induced 3K1 or 2K2 (F_1), the one-pass check through
+    # x must say whether g has one
+    checked = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            free = fk_free(g, 1)
+            for x in range(n):
+                if fk_free(g.delete_vertex(x), 1):
+                    checked += 1
+                    assert _no_f1_through(g.adj, g.full_mask(), 1 << x) == free, (to_graph6(g), x)
+    assert checked > 1000
+
+
+def _read_in(solver, to):
+    """The edges of a solver's graph, less its dropped vertices, after
+    renaming each vertex w to to[w]; sorted, so equal graphs give equal keys."""
+    keep = ((1 << len(to)) - 1) & ~getattr(solver, "dropped", 0)
+    pairs = ((to[a], to[b]) for a in bits(keep) for b in bits(solver.adj[a] & keep) if a < b)
+    return tuple(sorted((min(pair), max(pair)) for pair in pairs)), to
+
+
+def test_memos_are_exact_where_the_surplus_one_bound_fires(monkeypatch):
+    # co-C10, co-C12 and G_12 have td n - 1, so the surplus-one check ends
+    # most scans of their minors. Every memo entry of a report's parent
+    # solver and of each minor solver it builds, for each graph as built and
+    # under two seeded relabelings, against the shortcut-free recursion. A
+    # solver is read back in the built numbering, turned by the rotation
+    # symmetry of g that gives the least edge list, so isomorphic minors
+    # share one reference
+    made = []
+
+    class Recording(solver_module._MinorSolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(solver_module, "_MinorSolver", Recording)
+    refs: dict = {}
+    rng = random.Random(73)
+    entries = 0
+    for g in (cycle_complement(10), cycle_complement(12), g4k(3)):
+        n = g.n
+        turns = [r for r in ([(v + k) % n for v in range(n)] for k in range(n)) if g.relabeled(r) == g]
+        for perm in [list(range(n))] + [rng.sample(range(n), n) for _ in range(2)]:
+            back = [0] * n
+            for v, w in enumerate(perm):
+                back[w] = v
+            criticality_report(g.relabeled(perm))
+            assert made
+            for solver in [made[0].parent] + made:
+                edges, to = min(_read_in(solver, [turn[v] for v in back]) for turn in turns)
+                if edges not in refs:
+                    refs[edges] = ref_tree_depth_dp(n, list(edges))
+                for mask, depth in solver.memo.items():
+                    assert depth == refs[edges](frozenset(to[w] for w in bits(mask))), (to_graph6(g), perm, mask)
+                entries += len(solver.memo)
+            made.clear()
+    assert entries > 5000
 
 
 def test_decision_brackets_value_at_larger_n():

@@ -59,34 +59,44 @@ def labeling_gates() -> list[str]:
     ]
 
 
-def report_gate() -> str:
-    """CriticalityReport.to_dict JSON of every graph with n <= 7."""
-    digest, count = hashlib.sha256(), 0
-    for g in _graphs_upto(7):
-        count += 1
+def _report_digest(graphs: list[tdlab.Graph]) -> str:
+    """sha256 of one graph6 and CriticalityReport.to_dict JSON line per graph."""
+    digest = hashlib.sha256()
+    for g in graphs:
         report = tdlab.criticality_report(g).to_dict()
         digest.update(f"{tdlab.to_graph6(g)} {json.dumps(report, sort_keys=True)}\n".encode())
-    return f"criticality_report n<=7: {count} graphs {digest.hexdigest()}"
+    return digest.hexdigest()
+
+
+def report_gate() -> str:
+    """The report of every graph with n <= 7."""
+    graphs = list(_graphs_upto(7))
+    return f"criticality_report n<=7: {len(graphs)} graphs {_report_digest(graphs)}"
 
 
 def random_report_gate() -> str:
-    """CriticalityReport.to_dict JSON of 150 seeded random graphs with
-    8 <= n <= 10 and td <= 6: the part of the old t-uniqueness search cap
-    (n <= 10, td <= 6) that the n <= 7 gate does not reach."""
+    """The reports of 150 seeded random graphs with 8 <= n <= 10 and
+    td <= 6: the part of the old t-uniqueness search cap (n <= 10, td <= 6)
+    that the n <= 7 gate does not reach."""
     count = 150
     rng = random.Random(810)
-    digest, kept = hashlib.sha256(), 0
-    while kept < count:
+    graphs: list[tdlab.Graph] = []
+    while len(graphs) < count:
         n, p = rng.randint(8, 10), rng.choice((0.3, 0.45, 0.6))
         g = tdlab.Graph.from_edges(
             n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         )
-        if tdlab.tree_depth(g).value > 6:
-            continue
-        kept += 1
-        report = tdlab.criticality_report(g).to_dict()
-        digest.update(f"{tdlab.to_graph6(g)} {json.dumps(report, sort_keys=True)}\n".encode())
-    return f"criticality_report 8<=n<=10, td<=6: {count} random graphs {digest.hexdigest()}"
+        if tdlab.tree_depth(g).value <= 6:
+            graphs.append(g)
+    return f"criticality_report 8<=n<=10, td<=6: {count} random graphs {_report_digest(graphs)}"
+
+
+def family_report_gate() -> str:
+    """The reports of co-C8..co-C16 and G_8, G_12, G_16: graphs of td n - 1,
+    where the solver's surplus-one bound ends most scans."""
+    graphs = [tdlab.cycle_complement(n) for n in range(8, 17)]
+    graphs += [tdlab.g4k(k) for k in range(2, 5)]
+    return f"criticality_report co-C8..co-C16, g4k(2..4): {len(graphs)} graphs {_report_digest(graphs)}"
 
 
 def search_gates() -> list[str]:
@@ -125,7 +135,8 @@ def code_lines(package: Path) -> int:
 
 
 def main() -> None:
-    for line in labeling_gates() + [report_gate(), random_report_gate()] + search_gates():
+    reports = [report_gate(), random_report_gate(), family_report_gate()]
+    for line in labeling_gates() + reports + search_gates():
         print(line)
     print(f"code lines in the tdlab package: {code_lines(Path(tdlab.__file__).parent)}")
 
