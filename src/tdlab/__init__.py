@@ -46,7 +46,6 @@ from .graphs import (
     parse_graph6,
     to_edge_list,
     to_graph6,
-    vertex_connectivity,
 )
 from .labelings import (
     IrreducibleCore,

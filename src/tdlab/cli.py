@@ -153,7 +153,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
-    results = verify_paper(args.level, args.n8_stream)
+    results = verify_paper(args.level)
     if args.json:
         print(json.dumps([
             {
@@ -220,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-paper", help="run the replication criteria")
     p_verify.add_argument("--level", choices=("quick", "full"), default="quick")
-    p_verify.add_argument("--n8-stream", help="optional graph6 file with the 8-vertex census")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(fn=_cmd_verify_paper)
     return parser

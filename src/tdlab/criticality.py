@@ -125,19 +125,23 @@ def _minor_critical(table: _MinorTable) -> bool:
 
 
 def critical_spanning_subgraph(g: Graph) -> Graph:
-    """Greedy fixed point of depth-preserving edge deletion: repeatedly
-    delete the first edge (ascending (u, v) order) whose removal keeps
-    tree-depth unchanged, restarting after each deletion."""
+    """Greedy fixed point of depth-preserving edge deletion: one pass over
+    the edges in ascending (u, v) order, deleting each edge whose removal
+    keeps tree-depth unchanged in the graph left so far.
+
+    The pass ends subgraph-critical, and it deletes the same edges as
+    restarting the scan after every deletion would: an edge f that was kept
+    stays needed. A later deletion leaves a subgraph H of the graph G in
+    which f was kept, with td(H) = td(G), and td(H - f) <= td(G - f) <
+    td(G) by monotonicity.
+    """
     if g.n == 0:
         return g
-    value = None
-    while True:
-        table = _MinorTable(g, value)
-        value = table.value
-        spare = next(((u, v) for u, v, d in table.edge_deletions() if not d), None)
-        if spare is None:
-            return g
-        g = g.delete_edge(*spare)
+    table = _MinorTable(g)
+    for u, v in g.edges():
+        if not table.edge_drops(u, v):
+            table = _MinorTable(table.g.delete_edge(u, v), table.value)
+    return table.g
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,11 @@ def g4k(k: int) -> Graph:
     {2j-1, 2j-1+2k}: half of the antipodal pairs, alternating around the
     cycle. (Figure captions elsewhere index this family by k, so the graph
     called G_3 in a figure is the n = 12 member here.)
+
+    td is n - 1 for every k, but the graph is subgraph-critical only for
+    k = 2 and 3: for k >= 4 an edge uv can go without lowering td exactly
+    when the complement plus uv keeps girth >= 5 (32 edges for k = 4, 80
+    for k = 5).
     """
     if k < 2:
         raise ValueError("g4k needs k >= 2")

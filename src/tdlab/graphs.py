@@ -3,8 +3,8 @@
 Covers the structural toolkit everything else builds on: minor operations
 (edge/vertex deletion, edge contraction), induced subgraphs, complement,
 disjoint union, cartesian product, the star-clique transform, exact
-canonicalization for small graphs, vertex connectivity, induced-pattern
-containment, and the graph6 / edge-list text codecs.
+canonicalization for small graphs, induced-pattern containment, and the
+graph6 / edge-list text codecs.
 """
 
 from __future__ import annotations
@@ -445,67 +445,6 @@ def canonical_form(g: Graph) -> str:
     for i, v in enumerate(order):
         perm[v] = i
     return to_graph6(g.relabeled(perm))
-
-
-# -- vertex connectivity --------------------------------------------------
-
-
-def vertex_connectivity(g: Graph) -> int:
-    """Exact vertex connectivity via Menger: minimize, over non-adjacent
-    pairs, the number of internally disjoint paths (unit-vertex-capacity
-    max-flow). Complete graphs return n - 1 by convention."""
-    if g.n < 1:
-        raise ValueError("vertex_connectivity needs at least one vertex")
-    if g.is_complete():
-        return g.n - 1
-    if not g.is_connected():
-        return 0
-    best = g.n - 1
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                best = min(best, _disjoint_path_count(g, u, v))
-    return best
-
-
-def _disjoint_path_count(g: Graph, s: int, t: int) -> int:
-    # split vertex w into in-node 2w and out-node 2w+1
-    cap: dict[tuple[int, int], int] = {}
-
-    def add(a: int, b: int, c: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-
-    for w in range(g.n):
-        add(2 * w, 2 * w + 1, g.n if w in (s, t) else 1)
-    for a, b in g.edges():
-        add(2 * a + 1, 2 * b, 1)
-        add(2 * b + 1, 2 * a, 1)
-    succ: dict[int, list[int]] = {}
-    for a, b in cap:
-        succ.setdefault(a, []).append(b)
-    source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while True:
-        prev = {source: source}
-        queue = [source]
-        while queue and sink not in prev:
-            nxt = []
-            for a in queue:
-                for b in succ.get(a, ()):
-                    if b not in prev and cap[(a, b)] > 0:
-                        prev[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if sink not in prev:
-            return flow
-        b = sink
-        while b != source:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-        flow += 1
 
 
 # -- induced pattern containment ------------------------------------------

@@ -275,12 +275,16 @@ class _MinorTable:
     def _depth(self, adj: Sequence[int], dropped: int = 0) -> int:
         return _MinorSolver(self.solver, adj, dropped).td(self.full ^ dropped)
 
+    def edge_drops(self, u: int, v: int) -> bool:
+        """Does deleting the edge uv lower td?"""
+        rows = list(self.g.adj)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        return self._depth(rows) < self.value
+
     def edge_deletions(self) -> Iterator[tuple[int, int, int]]:
         for u, v in self.g.edges():
-            rows = list(self.g.adj)
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-            yield u, v, int(self._depth(rows) < self.value)
+            yield u, v, int(self.edge_drops(u, v))
 
     def vertex_deletions(self) -> Iterator[int]:
         for v in range(self.g.n):
@@ -403,20 +407,20 @@ def _greedy_height(solver: _SubsetSolver, mask: int) -> int:
     return height
 
 
-def tree_depth_decision(g: Graph, k: int, max_vertices: int = MAX_VERTICES) -> bool:
+def tree_depth_decision(g: Graph, k: int) -> bool:
     """Is td(g) <= k? Yes at once if a greedy elimination forest has height
     <= k; otherwise the exact solve that tree_depth runs decides, on the
     same solver, so the components the greedy pass solved stay solved."""
     if k < 0:
         raise ValueError("cutoff must be non-negative")
-    _check_budget(g, max_vertices)
+    _check_budget(g, MAX_VERTICES)
     solver, full = _SubsetSolver(g.adj), g.full_mask()
     return _greedy_height(solver, full) <= k or solver.td(full) <= k
 
 
-def surplus(g: Graph, max_vertices: int = MAX_VERTICES) -> int:
+def surplus(g: Graph) -> int:
     """n(g) - td(g); hereditary and monotone under induced subgraphs."""
-    return g.n - tree_depth(g, max_vertices).value
+    return g.n - tree_depth(g).value
 
 
 def verify_feasible(g: Graph, labels) -> FeasibilityCheck:

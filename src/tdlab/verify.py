@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from .criticality import (
@@ -226,7 +226,7 @@ def _c7_min_t_vs_direct(full: bool) -> tuple[bool, str]:
     return bad == 0, detail if not bad else detail + f"; {bad} mismatches"
 
 
-def _c8_critical_implies_one_unique(full: bool, n8_stream: str | None) -> tuple[bool, str]:
+def _c8_critical_implies_one_unique(full: bool) -> tuple[bool, str]:
     n_max = 7 if full else 6
     bad = []
     total_hits = 0
@@ -236,44 +236,20 @@ def _c8_critical_implies_one_unique(full: bool, n8_stream: str | None) -> tuple[
         for g6, report in result.hits:
             if not report.is_one_unique_graph:
                 bad.append(g6)
-    scope = f"built-in n<={n_max}"
-    if full and n8_stream is not None:
-        result = run_search(SearchJob(td_target=7, graph6_path=n8_stream, critical=True))
-        total_hits += len(result.hits)
-        for g6, report in result.hits:
-            if not report.is_one_unique_graph:
-                bad.append(g6)
-        scope += " plus n=8 stream"
-    detail = f"every (n-1)-critical hit is 1-unique ({scope}, {total_hits} hits)"
+    detail = f"every (n-1)-critical hit is 1-unique (built-in n<={n_max}, {total_hits} hits)"
     return not bad, detail if not bad else detail + f"; violators: {bad}"
 
 
 def _c9_main_search(full: bool) -> tuple[bool, str]:
     target_canon = canonical_form(h_graph(4))
     if full:
-        job = SearchJob(td_target=5, n=7, critical=True, non_one_unique=True)
-        result = run_search(job)
-        connected = run_search(
-            SearchJob(td_target=5, n=7, critical=True, non_one_unique=True, connected_only=True)
-        )
-        scope = "built-in n=7"
+        n, lines, scope = 7, None, "built-in n=7"
     else:
-        lines = tuple(
-            to_graph6(g)
-            for g in (h_graph(4), cycle_complement(7), complete(7), cycle(7), k_net(3), clique_prism(2))
-        )
-        job = SearchJob(td_target=5, graph6_lines=lines, critical=True, non_one_unique=True)
-        result = run_search(job)
-        connected = run_search(
-            SearchJob(
-                td_target=5,
-                graph6_lines=lines,
-                critical=True,
-                non_one_unique=True,
-                connected_only=True,
-            )
-        )
-        scope = "fixed 6-graph stream"
+        graphs = (h_graph(4), cycle_complement(7), complete(7), cycle(7), k_net(3), clique_prism(2))
+        n, lines, scope = None, tuple(to_graph6(g) for g in graphs), "fixed 6-graph stream"
+    job = SearchJob(td_target=5, n=n, graph6_lines=lines, critical=True, non_one_unique=True)
+    result = run_search(job)
+    connected = run_search(replace(job, connected_only=True))
     bad = []
     if not result.hits:
         bad.append("empty hit set")
@@ -376,31 +352,31 @@ def _c10_property_suites(full: bool) -> tuple[bool, str]:
     return not bad, detail if not bad else detail + f"; failed: {bad[:5]}"
 
 
-_CRITERIA: list[tuple[int, str, Callable]] = [
-    (1, "Andrasfai depth formulas", lambda full, n8: _c1_andrasfai_depth(full)),
-    (2, "Andrasfai criticality and 1-uniqueness", lambda full, n8: _c2_andrasfai_critical(full)),
-    (3, "cycle complement depths and sparser ties", lambda full, n8: _c3_cycle_complements(full)),
-    (4, "net and clique-prism depth formulas", lambda full, n8: _c4_nets_prisms(full)),
-    (5, "subdivided-clique family", lambda full, n8: _c5_h_graphs(full)),
-    (6, "forbidden-list equivalence", lambda full, n8: _c6_forbidden_equivalence(full)),
-    (7, "star-clique and elimination min_t vs direct search", lambda full, n8: _c7_min_t_vs_direct(full)),
+_CRITERIA: list[tuple[int, str, Callable[[bool], tuple[bool, str]]]] = [
+    (1, "Andrasfai depth formulas", _c1_andrasfai_depth),
+    (2, "Andrasfai criticality and 1-uniqueness", _c2_andrasfai_critical),
+    (3, "cycle complement depths and sparser ties", _c3_cycle_complements),
+    (4, "net and clique-prism depth formulas", _c4_nets_prisms),
+    (5, "subdivided-clique family", _c5_h_graphs),
+    (6, "forbidden-list equivalence", _c6_forbidden_equivalence),
+    (7, "star-clique and elimination min_t vs direct search", _c7_min_t_vs_direct),
     (8, "near-order critical graphs are 1-unique", _c8_critical_implies_one_unique),
-    (9, "main critical non-1-unique search", lambda full, n8: _c9_main_search(full)),
-    (10, "property suites", lambda full, n8: _c10_property_suites(full)),
+    (9, "main critical non-1-unique search", _c9_main_search),
+    (10, "property suites", _c10_property_suites),
 ]
 
 
-def run_criterion(cid: int, level: str = "full", n8_stream: str | None = None) -> CriterionResult:
+def run_criterion(cid: int, level: str = "full") -> CriterionResult:
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     for num, title, fn in _CRITERIA:
         if num == cid:
             start = time.perf_counter()
-            passed, detail = fn(level == "full", n8_stream)
+            passed, detail = fn(level == "full")
             return CriterionResult(num, title, passed, detail, time.perf_counter() - start)
     raise ValueError(f"no criterion {cid}")
 
 
-def verify_paper(level: str = "quick", n8_stream: str | None = None) -> list[CriterionResult]:
+def verify_paper(level: str = "quick") -> list[CriterionResult]:
     """Run all criteria at the given level; results in criterion order."""
-    return [run_criterion(cid, level, n8_stream) for cid, _, _ in _CRITERIA]
+    return [run_criterion(cid, level) for cid, _, _ in _CRITERIA]

@@ -3,7 +3,8 @@
 Deliberately written from the definitions, with different algorithms than
 the package: feasibility by per-pair path search, tree-depth by label
 enumeration or by the shortcut-free recursion on vertex sets, isomorphism by
-permutation scan, graph6 by direct bit reading.
+permutation scan, graph6 by direct bit reading, vertex connectivity by
+scanning vertex cuts.
 """
 
 from __future__ import annotations
@@ -85,6 +86,18 @@ def _components(nbrs: list[set[int]], vs: frozenset) -> list[frozenset]:
         left -= comp
         comps.append(frozenset(comp))
     return comps
+
+
+def ref_vertex_connectivity(n: int, edges: list[tuple[int, int]]) -> int:
+    """Fewest vertices whose deletion leaves a disconnected graph, by scanning
+    vertex sets in order of size; n - 1 when no deletion does (complete
+    graphs, and 0 for one vertex)."""
+    nbrs = _neighbour_sets(n, edges)
+    for k in range(n - 1):
+        for cut in itertools.combinations(range(n), k):
+            if len(_components(nbrs, frozenset(range(n)) - set(cut))) > 1:
+                return k
+    return n - 1
 
 
 def ref_tree_depth_dp(n: int, edges: list[tuple[int, int]]):

@@ -214,3 +214,23 @@ def test_critical_spanning_subgraph():
         assert tree_depth(s).value == tree_depth(g).value
         assert is_subgraph_critical(s)
         assert set(s.edges()) <= set(g.edges())
+
+
+def restart_spanning_subgraph(g):
+    """The restart loop that critical_spanning_subgraph replaced: delete the
+    first edge whose removal keeps the depth, then scan again from the start."""
+    value = None
+    while True:
+        table = _MinorTable(g, value)
+        value = table.value
+        spare = next(((u, v) for u, v, d in table.edge_deletions() if not d), None)
+        if spare is None:
+            return g
+        g = g.delete_edge(*spare)
+
+
+def test_spanning_subgraph_pass_matches_the_restart_loop():
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [cycle_complement(n) for n in range(8, 13)]
+    for g in graphs:
+        assert critical_spanning_subgraph(g) == restart_spanning_subgraph(g)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tdlab import (
@@ -10,6 +12,7 @@ from tdlab import (
     clique_prism,
     complete,
     contains_induced,
+    criticality_report,
     cycle,
     cycle_complement,
     enumerate_graphs,
@@ -21,10 +24,9 @@ from tdlab import (
     path,
     pattern,
     tree_depth,
-    vertex_connectivity,
 )
 
-from oracles import ref_isomorphic
+from oracles import ref_isomorphic, ref_vertex_connectivity
 
 
 def isomorphic(g, h):
@@ -76,6 +78,28 @@ def test_g4k_structure():
         g4k(1)
 
 
+def _girth_at_least_5(g):
+    """No triangle and no 4-cycle: no two vertices share two neighbours,
+    and no two adjacent ones share one."""
+    for u, v in itertools.combinations(range(g.n), 2):
+        common = g.adj[u] & g.adj[v]
+        if common.bit_count() > 1 or common and g.has_edge(u, v):
+            return False
+    return True
+
+
+def test_g4k_is_subgraph_critical_only_for_k_2_and_3():
+    # td(g4k(k)) = n - 1, so g - uv keeps it iff g - uv has no induced 3K1
+    # or 2K2 (criterion 6), i.e. iff the complement plus uv has girth >= 5
+    for k, spare in ((2, 0), (3, 0), (4, 32), (5, 80)):
+        g = g4k(k)
+        report = criticality_report(g)
+        kept = {(u, v) for u, v, d in report.edge_deletion_deltas if not d}
+        chords = {e for e in g.edges() if _girth_at_least_5(g.delete_edge(*e).complement())}
+        assert kept == chords and len(kept) == spare
+        assert report.is_subgraph_critical == (k <= 3)
+
+
 def test_k_net_structure():
     g = k_net(3)
     assert g.n == 6
@@ -122,7 +146,7 @@ def test_andrasfai_structure():
         assert g.n == 3 * k - 1
         assert all(g.degree(v) == k for v in range(g.n))
         assert not contains_induced(g, complete(3))
-        assert vertex_connectivity(g) == k
+        assert ref_vertex_connectivity(g.n, g.edges()) == k
     for k in range(1, 6):
         assert tree_depth(andrasfai(k)).value == 2 * k
     # each graph extends the previous one on the shared vertex prefix

@@ -1,6 +1,8 @@
 import pytest
 
 from tdlab import (
+    SearchResult,
+    canonical_form,
     complete,
     cycle_complement,
     g4k,
@@ -9,6 +11,7 @@ from tdlab import (
     to_graph6,
     verify_paper,
 )
+from tdlab.cli import main
 
 
 def test_run_criterion_validates_inputs():
@@ -28,13 +31,24 @@ def test_result_line_format():
     assert r.seconds >= 0
 
 
-def test_criterion_8_accepts_an_extra_stream(tmp_path):
+def test_n8_stream_screen_runs_through_search_input(tmp_path, capsys):
+    # criterion 8's claim on an n = 8 stream: every 7-critical hit is
+    # 1-unique, i.e. the screen counts no counterexample
     stream = tmp_path / "eight.g6"
     graphs = [g4k(2), cycle_complement(8), complete(8), path(8)]
     stream.write_text("\n".join(to_graph6(g) for g in graphs) + "\n")
-    r = run_criterion(8, "full", n8_stream=str(stream))
-    assert r.passed
-    assert "plus n=8 stream" in r.detail
+    assert main(["search", "--td", "7", "--critical", "--input", str(stream)]) == 0
+    result = SearchResult.from_json(capsys.readouterr().out)
+    assert result.counters.to_dict() == {
+        "graphs_scanned": 4,
+        "graphs_at_target_td": 2,
+        "critical_count": 1,
+        "counterexample_count": 0,
+        "skipped": 0,
+    }
+    [(g6, report)] = result.hits
+    assert g6 == "Grqix{" == canonical_form(g4k(2))
+    assert report.is_one_unique_graph
 
 
 def test_verify_paper_quick_passes():

@@ -91,12 +91,26 @@ def random_report_gate() -> str:
     return f"criticality_report 8<=n<=10, td<=6: {count} random graphs {_report_digest(graphs)}"
 
 
+def _family_graphs() -> list[tdlab.Graph]:
+    """co-C8..co-C16 and G_8, G_12, G_16: graphs of td n - 1, where the
+    solver's surplus-one bound ends most scans."""
+    return [tdlab.cycle_complement(n) for n in range(8, 17)] + [tdlab.g4k(k) for k in range(2, 5)]
+
+
 def family_report_gate() -> str:
-    """The reports of co-C8..co-C16 and G_8, G_12, G_16: graphs of td n - 1,
-    where the solver's surplus-one bound ends most scans."""
-    graphs = [tdlab.cycle_complement(n) for n in range(8, 17)]
-    graphs += [tdlab.g4k(k) for k in range(2, 5)]
+    """The reports of the family graphs."""
+    graphs = _family_graphs()
     return f"criticality_report co-C8..co-C16, g4k(2..4): {len(graphs)} graphs {_report_digest(graphs)}"
+
+
+def spanning_subgraph_gate() -> str:
+    """The graph6 of critical_spanning_subgraph(g) for every graph with
+    n <= 7 and for the family graphs."""
+    graphs = list(_graphs_upto(7)) + _family_graphs()
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(f"{tdlab.to_graph6(tdlab.critical_spanning_subgraph(g))}\n".encode())
+    return f"critical_spanning_subgraph n<=7, co-C8..co-C16, g4k(2..4): {len(graphs)} graphs {digest.hexdigest()}"
 
 
 def search_gates() -> list[str]:
@@ -135,8 +149,8 @@ def code_lines(package: Path) -> int:
 
 
 def main() -> None:
-    reports = [report_gate(), random_report_gate(), family_report_gate()]
-    for line in labeling_gates() + reports + search_gates():
+    graph_gates = [report_gate(), random_report_gate(), family_report_gate(), spanning_subgraph_gate()]
+    for line in labeling_gates() + graph_gates + search_gates():
         print(line)
     print(f"code lines in the tdlab package: {code_lines(Path(tdlab.__file__).parent)}")
 
