@@ -62,7 +62,7 @@ g - L - v is a subgraph of elim(g, L + v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .graphs import Graph
@@ -171,37 +171,17 @@ class CriticalityReport:
     conjecture_checks: dict[str, bool]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "td": self.td,
-            "surplus": self.surplus,
-            "edge_deletion_deltas": [list(t) for t in self.edge_deletion_deltas],
-            "contraction_deltas": [list(t) for t in self.contraction_deltas],
-            "vertex_deletion_deltas": list(self.vertex_deletion_deltas),
-            "one_unique": list(self.one_unique),
-            "min_t": list(self.min_t),
-            "is_minor_critical": self.is_minor_critical,
-            "is_subgraph_critical": self.is_subgraph_critical,
-            "is_induced_subgraph_critical": self.is_induced_subgraph_critical,
-            "is_one_unique_graph": self.is_one_unique_graph,
-            "conjecture_checks": dict(self.conjecture_checks),
-        }
+        # not asdict: its deep copy doubles the JSON time of a search's hits
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "CriticalityReport":
-        return CriticalityReport(
-            td=data["td"],
-            surplus=data["surplus"],
-            edge_deletion_deltas=tuple(tuple(t) for t in data["edge_deletion_deltas"]),
-            contraction_deltas=tuple(tuple(t) for t in data["contraction_deltas"]),
-            vertex_deletion_deltas=tuple(data["vertex_deletion_deltas"]),
-            one_unique=tuple(data["one_unique"]),
-            min_t=tuple(data["min_t"]),
-            is_minor_critical=data["is_minor_critical"],
-            is_subgraph_critical=data["is_subgraph_critical"],
-            is_induced_subgraph_critical=data["is_induced_subgraph_critical"],
-            is_one_unique_graph=data["is_one_unique_graph"],
-            conjecture_checks=dict(data["conjecture_checks"]),
-        )
+        return CriticalityReport(**{f.name: _tuples(data[f.name]) for f in fields(CriticalityReport)})
+
+
+def _tuples(value: Any) -> Any:
+    """A JSON value with every list, at any depth, turned back into a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def criticality_report(g: Graph, max_vertices: int = MAX_VERTICES) -> CriticalityReport:

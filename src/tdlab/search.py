@@ -13,8 +13,10 @@ from graph6 line streams.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import Counter
+from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache, partial
+from itertools import chain, islice
 from multiprocessing import Pool
 from typing import Any, Iterable, Iterator
 
@@ -24,6 +26,12 @@ from .graphs import CANONICAL_MAX_N, Graph, canonical_form, parse_graph6
 from .solver import MAX_VERTICES, _MinorTable
 
 ENUM_MAX_N = 7
+# Lines per pool task: enough that the parent's share of pickling and
+# result handling stays small on long streams.
+_LINES_PER_TASK = 1024
+# What _screen_one returns for one line: the SearchCounters fields it adds
+# one to, and the (key, report) pair of a hit or None.
+_Screened = tuple[list[str], tuple[str, CriticalityReport] | None]
 
 
 @lru_cache(maxsize=None)
@@ -68,9 +76,12 @@ def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
 @dataclass(frozen=True)
 class SearchJob:
     """One screening run. Exactly one source: built-in order ``n`` or a
-    graph6 stream (``graph6_path`` or ``graph6_lines``). ``budget`` is the
-    per-graph vertex cap; oversized graphs are recorded as skips and fail
-    the run unless ``allow_skips`` is set."""
+    graph6 stream (``graph6_path`` or ``graph6_lines``), read one line at a
+    time. ``budget`` is the per-graph vertex cap; oversized graphs are
+    recorded as skips and fail the run unless ``allow_skips`` is set.
+    ``threads`` > 1 screens in a pool of that many worker processes, or
+    one per line when there are fewer lines. Every worker task carries the
+    job itself, without ``graph6_lines``."""
 
     td_target: int
     n: int | None = None
@@ -93,13 +104,7 @@ class SearchCounters:
     skipped: int
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "graphs_scanned": self.graphs_scanned,
-            "graphs_at_target_td": self.graphs_at_target_td,
-            "critical_count": self.critical_count,
-            "counterexample_count": self.counterexample_count,
-            "skipped": self.skipped,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -145,10 +150,9 @@ class SearchResult:
         return SearchResult.from_dict(json.loads(text))
 
 
-def _screen_one(args: tuple[str, int, bool, bool, bool, int, bool]) -> dict[str, Any]:
-    """Screen one graph6 line; returns a dict of flags, plus the canonical
-    key and the CriticalityReport of a hit, all of which pickle. A line
-    flagged canonical (the built-in census) is its own canonical form.
+def _screen_one(job: SearchJob, g6: str) -> _Screened:
+    """Screen one graph6 line; the result pickles. A line of the built-in
+    census (``job.n`` set) is its own canonical form.
 
     Stage order: budget, connectivity filter, td == target (the exact solve
     of the minor table's parent), then the table's edge, vertex and
@@ -156,46 +160,49 @@ def _screen_one(args: tuple[str, int, bool, bool, bool, int, bool]) -> dict[str,
     1-unique vertex and then serve the 1-uniqueness filter; for hits, the
     full report from the same table.
     """
-    g6, target, critical, non_one_unique, connected_only, budget, canonical = args
     g = parse_graph6(g6)
-    out: dict[str, Any] = {"skipped": False, "at_td": False, "critical": None}
-    if g.n > budget:
-        out["skipped"] = True
-        return out
+    counts = ["graphs_scanned"]
+    if g.n > job.budget:
+        return counts + ["skipped"], None
     # an empty graph (td 0) is below every target, and has no table
-    if g.n == 0 or connected_only and not g.is_connected():
-        return out
+    if g.n == 0 or job.connected_only and not g.is_connected():
+        return counts, None
     table = _MinorTable(g)
-    if table.value != target:
-        return out
-    out["at_td"] = True
-    if critical:
-        if not _minor_critical(table):
-            return out
-        out["critical"] = True
-        out["counterexample"] = not all(table.one_unique())
-    if non_one_unique and all(table.one_unique()):
-        return out
+    if table.value != job.td_target:
+        return counts, None
+    counts.append("graphs_at_target_td")
+    if job.critical and not _minor_critical(table):
+        return counts, None
+    if job.non_one_unique and all(table.one_unique()):
+        # dropped by the 1-uniqueness filter: under job.critical, a critical
+        # graph that is 1-unique
+        if job.critical:
+            counts.append("critical_count")
+        return counts, None
     report = _report(table)
-    out["hit"] = True
-    out["canon"] = canonical_form(g) if g.n <= CANONICAL_MAX_N and not canonical else g6
-    out["report"] = report
-    if out["critical"] is None:
-        out["critical"] = report.is_minor_critical
-        out["counterexample"] = report.is_minor_critical and not report.is_one_unique_graph
-    return out
+    if report.is_minor_critical:
+        counts.append("critical_count")
+        if not report.is_one_unique_graph:
+            counts.append("counterexample_count")
+    key = canonical_form(g) if g.n <= CANONICAL_MAX_N and job.n is None else g6
+    return counts, (key, report)
 
 
-def _job_lines(job: SearchJob) -> tuple[list[str], str]:
+def _file_lines(path: str) -> Iterator[str]:
+    with open(path, "r", encoding="ascii") as fh:
+        yield from _graph6_lines(fh)
+
+
+def _job_lines(job: SearchJob) -> tuple[Iterator[str], str]:
+    """The job's graph6 lines, read lazily, and its source descriptor."""
     sources = [job.n is not None, job.graph6_path is not None, job.graph6_lines is not None]
     if sum(sources) != 1:
         raise ValueError("job needs exactly one source: n, graph6_path, or graph6_lines")
     if job.n is not None:
-        return list(_enumerated_graph6(job.n)), f"builtin:n={job.n}"
+        return iter(_enumerated_graph6(job.n)), f"builtin:n={job.n}"
     if job.graph6_path is None:
-        return list(_graph6_lines(job.graph6_lines)), f"lines:{len(job.graph6_lines)}"
-    with open(job.graph6_path, "r", encoding="ascii") as fh:
-        return list(_graph6_lines(fh)), f"file:{job.graph6_path}"
+        return _graph6_lines(job.graph6_lines), f"lines:{len(job.graph6_lines)}"
+    return _file_lines(job.graph6_path), f"file:{job.graph6_path}"
 
 
 def _config_hash(job: SearchJob, descriptor: str) -> str:
@@ -216,7 +223,26 @@ def _config_hash(job: SearchJob, descriptor: str) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
 
+def _screened(job: SearchJob, lines: Iterator[str]) -> Iterator[_Screened]:
+    """_screen_one over the lines, in order. With threads > 1 a pool of at
+    most one worker per line screens _LINES_PER_TASK lines per task; its
+    task pipe holds back the reading of the lines."""
+    # the job goes to every task: without its lines, a task stays small
+    screen = partial(_screen_one, replace(job, graph6_lines=None))
+    head = list(islice(lines, job.threads))
+    if len(head) < 2:
+        yield from map(screen, chain(head, lines))
+        return
+    with Pool(len(head)) as pool:
+        yield from pool.imap(screen, chain(head, lines), chunksize=_LINES_PER_TASK)
+
+
 def run_search(job: SearchJob) -> SearchResult:
+    """Screen the job's source in one pass. Each screen result is folded
+    into the counters and, for a hit, kept as the report of its key unless
+    the key is already held, so memory holds the counters and one report
+    per distinct hit. Skips raise BudgetError after the whole pass unless
+    ``allow_skips`` is set."""
     if job.td_target < 1:
         raise ValueError("td_target must be positive")
     if job.threads < 1:
@@ -224,44 +250,18 @@ def run_search(job: SearchJob) -> SearchResult:
     if job.budget > MAX_VERTICES:
         raise ValueError(f"budget cannot exceed the solver cap {MAX_VERTICES}")
     lines, descriptor = _job_lines(job)
-    args = [
-        (
-            g6,
-            job.td_target,
-            job.critical,
-            job.non_one_unique,
-            job.connected_only,
-            job.budget,
-            job.n is not None,
-        )
-        for g6 in lines
-    ]
-    if job.threads > 1 and len(args) > 1:
-        with Pool(min(job.threads, len(args))) as pool:
-            screened = pool.map(_screen_one, args, chunksize=max(1, len(args) // (8 * job.threads)))
-    else:
-        screened = [_screen_one(a) for a in args]
-    scanned = len(screened)
-    at_td = sum(1 for s in screened if s["at_td"])
-    critical_count = sum(1 for s in screened if s.get("critical"))
-    counterexamples = sum(1 for s in screened if s.get("counterexample"))
-    skipped = sum(1 for s in screened if s["skipped"])
-    if skipped and not job.allow_skips:
+    counts: Counter[str] = Counter()
+    by_canon: dict[str, CriticalityReport] = {}
+    for flags, hit in _screened(job, lines):
+        counts.update(flags)
+        if hit is not None:
+            by_canon.setdefault(*hit)
+    if counts["skipped"] and not job.allow_skips:
         raise BudgetError(
-            f"{skipped} graph(s) exceeded the per-graph budget {job.budget}; "
+            f"{counts['skipped']} graph(s) exceeded the per-graph budget {job.budget}; "
             "set allow_skips to accept a partial scan"
         )
-    by_canon: dict[str, CriticalityReport] = {}
-    for s in screened:
-        if s.get("hit") and s["canon"] not in by_canon:
-            by_canon[s["canon"]] = s["report"]
-    hits = tuple(sorted(by_canon.items()))
-    counters = SearchCounters(
-        graphs_scanned=scanned,
-        graphs_at_target_td=at_td,
-        critical_count=critical_count,
-        counterexample_count=counterexamples,
-        skipped=skipped,
-    )
+    counters = SearchCounters(**{f.name: counts[f.name] for f in fields(SearchCounters)})
     provenance = {"source": descriptor, "config_hash": _config_hash(job, descriptor)}
+    hits = tuple(sorted(by_canon.items()))
     return SearchResult(hits=hits, counters=counters, provenance=provenance)

@@ -70,6 +70,13 @@ def test_import_loads_no_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_package_runs_as_a_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(tdlab.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "tdlab", "family", "cycle", "5"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "Dhc\n"
+
+
 def test_enumeration_range():
     with pytest.raises(ValueError):
         list(enumerate_graphs(0))
@@ -117,9 +124,11 @@ def test_stream_sources_match_builtin(tmp_path):
     stream.write_text(">>header<<\n" + "\n".join(lines) + "\n")
     base = run_search(SearchJob(td_target=4, n=5, critical=True))
     from_file = run_search(SearchJob(td_target=4, graph6_path=str(stream), critical=True))
+    pooled = run_search(SearchJob(td_target=4, graph6_path=str(stream), critical=True, threads=2))
     from_lines = run_search(SearchJob(td_target=4, graph6_lines=tuple(lines), critical=True))
-    assert from_file.hits == base.hits == from_lines.hits
-    assert from_file.counters == base.counters == from_lines.counters
+    assert from_file.hits == base.hits == from_lines.hits == pooled.hits
+    assert from_file.counters == base.counters == from_lines.counters == pooled.counters
+    assert pooled.provenance == from_file.provenance
     assert from_file.provenance["source"].startswith("file:")
     assert from_lines.provenance["source"] == "lines:34"
 
@@ -151,6 +160,32 @@ def test_threads_must_be_positive(monkeypatch):
             run_search(SearchJob(td_target=3, n=5, threads=threads))
 
 
+def test_stream_is_screened_as_it_is_read(monkeypatch):
+    read = 0
+    lines_read = search_module._graph6_lines
+    screen = search_module._screen_one
+
+    def counted(lines):
+        nonlocal read
+        for text in lines_read(lines):
+            read += 1
+            yield text
+
+    screened = []
+
+    def spy(*args):
+        screened.append(read)
+        return screen(*args)
+
+    monkeypatch.setattr(search_module, "_graph6_lines", counted)
+    monkeypatch.setattr(search_module, "_screen_one", spy)
+    lines = tuple(to_graph6(g) for g in enumerate_graphs(5))
+    res = run_search(SearchJob(td_target=4, graph6_lines=lines))
+    assert res.counters.graphs_scanned == len(screened) == len(lines)
+    # the k-th screen starts when at most k + 1 lines have been read
+    assert all(seen <= k + 1 for k, seen in enumerate(screened, 1))
+
+
 def test_pool_never_outnumbers_lines(monkeypatch):
     sizes = []
 
@@ -164,8 +199,8 @@ def test_pool_never_outnumbers_lines(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args, chunksize):
-            return [fn(a) for a in args]
+        def imap(self, fn, args, chunksize):
+            return map(fn, args)
 
     monkeypatch.setattr(search_module, "Pool", SerialPool)
     lines = (to_graph6(cycle(5)), to_graph6(path(5)))

@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 import random
+import tempfile
 import tokenize
 from pathlib import Path
 
@@ -125,6 +126,25 @@ def search_gates() -> list[str]:
     return out
 
 
+def stream_gate() -> str:
+    """The --td 5 --critical --non-1-unique screen of a graph6 file that
+    holds a header, a blank line and the n = 7 census twice, at threads 1
+    and 2. The digest covers the hits and the counters, not the provenance,
+    which names the temporary file."""
+    census = [tdlab.to_graph6(g) for g in tdlab.enumerate_graphs(7)]
+    digests = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "census7x2.g6"
+        path.write_text(">>graph6<<\n\n" + "".join(f"{g6}\n" for g6 in census * 2))
+        for threads in (1, 2):
+            job = tdlab.SearchJob(td_target=5, graph6_path=str(path), critical=True,
+                                  non_one_unique=True, threads=threads)
+            data = tdlab.run_search(job).to_dict()
+            text = json.dumps([data["hits"], data["counters"]], sort_keys=True)
+            digests.append(hashlib.sha256(text.encode()).hexdigest())
+    return f"run_search file n=7 census x2 td=5 critical=True, threads 1 and 2: {' '.join(digests)}"
+
+
 def code_lines(package: Path) -> int:
     """Lines holding a token other than a comment, outside docstrings."""
     total = 0
@@ -150,7 +170,7 @@ def code_lines(package: Path) -> int:
 
 def main() -> None:
     graph_gates = [report_gate(), random_report_gate(), family_report_gate(), spanning_subgraph_gate()]
-    for line in labeling_gates() + graph_gates + search_gates():
+    for line in labeling_gates() + graph_gates + search_gates() + [stream_gate()]:
         print(line)
     print(f"code lines in the tdlab package: {code_lines(Path(tdlab.__file__).parent)}")
 
