@@ -49,7 +49,6 @@ from .graphs import (
 )
 from .labelings import (
     IrreducibleCore,
-    enumerate_optimal_labelings,
     feasible_labelings,
     format_labeling,
     irreducible_core,
@@ -64,7 +63,6 @@ from .search import (
     SearchJob,
     SearchResult,
     enumerate_graphs,
-    read_graph6_lines,
     run_search,
 )
 from .solver import (

@@ -4,8 +4,9 @@ Subcommands: td, check-labeling, report, family, search, verify-paper.
 Graph input is auto-detected: a first line whose bytes all fall in 63..126
 with no whitespace is graph6, anything else is the edge-list format
 ("n m" header then one "u v" line per edge). Exit codes: 0 success,
-1 domain failure (infeasible labeling, budget exceeded, failed criteria),
-2 usage.
+1 domain failure (infeasible labeling, a graph over the solver's vertex cap,
+failed criteria), 2 usage. The cap, solver.MAX_VERTICES, is fixed: no option
+lowers it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _read_graph(path: str | None, fmt: str | None) -> Graph:
 
 def _cmd_td(args: argparse.Namespace) -> int:
     g = _read_graph(args.input, args.format)
-    witness = tree_depth(g, args.budget)
+    witness = tree_depth(g)
     if args.json:
         print(json.dumps({
             "td": witness.value,
@@ -89,7 +90,7 @@ def _cmd_check_labeling(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     g = _read_graph(args.input, args.format)
-    report = criticality_report(g, args.budget)
+    report = criticality_report(g)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
         return 0
@@ -138,7 +139,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         critical=args.critical,
         non_one_unique=args.non_1_unique,
         connected_only=args.connected_only,
-        budget=args.budget,
         allow_skips=args.allow_skips,
         threads=args.threads,
     )
@@ -193,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_input(p_report)
     p_report.set_defaults(fn=_cmd_report)
 
-    for p in (p_td, p_report):
-        p.add_argument("--budget", type=int, default=MAX_VERTICES,
-                       help=f"vertex cap for the solver (<= {MAX_VERTICES})")
-
     p_family = sub.add_parser("family", help="emit a named family member as graph6")
     p_family.add_argument("name", choices=FAMILY_NAMES)
     p_family.add_argument("param", nargs="?", help="integer parameter, or pattern id for 'pattern'")
@@ -212,9 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="keep only graphs with a non-1-unique vertex")
     p_search.add_argument("--connected-only", action="store_true")
     p_search.add_argument("--threads", type=int, default=1)
-    p_search.add_argument("--budget", type=int, default=MAX_VERTICES)
     p_search.add_argument("--allow-skips", action="store_true",
-                          help="tolerate graphs over the budget (recorded as skips)")
+                          help=f"tolerate graphs over {MAX_VERTICES} vertices (recorded as skips)")
     p_search.add_argument("--output", help="write the JSON result here instead of stdout")
     p_search.set_defaults(fn=_cmd_search)
 

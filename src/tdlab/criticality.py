@@ -66,7 +66,7 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from .graphs import Graph
-from .solver import MAX_VERTICES, _MinorTable
+from .solver import _MinorTable
 
 
 def is_one_unique_vertex(g: Graph, v: int) -> bool:
@@ -184,10 +184,10 @@ def _tuples(value: Any) -> Any:
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def criticality_report(g: Graph, max_vertices: int = MAX_VERTICES) -> CriticalityReport:
+def criticality_report(g: Graph) -> CriticalityReport:
     if g.n == 0:
         raise ValueError("criticality report needs a nonempty graph")
-    return _report(_MinorTable(g, max_vertices=max_vertices))
+    return _report(_MinorTable(g))
 
 
 def _report(table: _MinorTable) -> CriticalityReport:

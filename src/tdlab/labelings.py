@@ -3,7 +3,7 @@
 A labeling assigns a positive integer to every vertex; it is feasible when
 every path between two vertices with equal labels passes through a higher
 label. "Optimal" here means feasible with maximum label at most td(g): the
-label budget is td(g) even if not every value in 1..td(g) is used.
+largest allowed label is td(g) even if not every value in 1..td(g) is used.
 
 feasible_labelings labels the vertices in id order and keeps one bitmask
 per label class. After each assignment it runs the solver's path-condition
@@ -82,23 +82,6 @@ def feasible_labelings(
 
 def iter_optimal_labelings(g: Graph) -> Iterator[tuple[int, ...]]:
     return feasible_labelings(g, tree_depth(g).value)
-
-
-def enumerate_optimal_labelings(g: Graph, budget: int) -> tuple[list[tuple[int, ...]], bool]:
-    """Up to ``budget`` optimal labelings in lexicographic order.
-
-    Returns (labelings, complete); complete is False exactly when the budget
-    ran out with more labelings remaining.
-    """
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    out: list[tuple[int, ...]] = []
-    it = iter_optimal_labelings(g)
-    for lab in it:
-        out.append(lab)
-        if len(out) == budget:
-            return out, next(it, None) is None
-    return out, True
 
 
 def is_reduced(labels: Sequence[int]) -> bool:

@@ -27,8 +27,9 @@ from .solver import MAX_VERTICES, _MinorTable
 
 ENUM_MAX_N = 7
 # Lines per pool task: enough that the parent's share of pickling and
-# result handling stays small on long streams.
-_LINES_PER_TASK = 1024
+# result handling stays small on long streams (64 was slower there), few
+# enough that two workers split the n = 7 census (1,044 lines) evenly.
+_LINES_PER_TASK = 512
 # What _screen_one returns for one line: the SearchCounters fields it adds
 # one to, and the (key, report) pair of a hit or None.
 _Screened = tuple[list[str], tuple[str, CriticalityReport] | None]
@@ -67,18 +68,12 @@ def _graph6_lines(lines: Iterable[str]) -> Iterator[str]:
             yield text
 
 
-def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse a graph6 stream, skipping blank lines and '>>' comment lines."""
-    for text in _graph6_lines(lines):
-        yield parse_graph6(text)
-
-
 @dataclass(frozen=True)
 class SearchJob:
     """One screening run. Exactly one source: built-in order ``n`` or a
     graph6 stream (``graph6_path`` or ``graph6_lines``), read one line at a
-    time. ``budget`` is the per-graph vertex cap; oversized graphs are
-    recorded as skips and fail the run unless ``allow_skips`` is set.
+    time. A graph over the solver's vertex cap, MAX_VERTICES, is recorded
+    as a skip and fails the run unless ``allow_skips`` is set.
     ``threads`` > 1 screens in a pool of that many worker processes, or
     one per line when there are fewer lines. Every worker task carries the
     job itself, without ``graph6_lines``."""
@@ -90,7 +85,6 @@ class SearchJob:
     critical: bool = False
     non_one_unique: bool = False
     connected_only: bool = False
-    budget: int = MAX_VERTICES
     allow_skips: bool = False
     threads: int = 1
 
@@ -154,7 +148,7 @@ def _screen_one(job: SearchJob, g6: str) -> _Screened:
     """Screen one graph6 line; the result pickles. A line of the built-in
     census (``job.n`` set) is its own canonical form.
 
-    Stage order: budget, connectivity filter, td == target (the exact solve
+    Stage order: vertex cap, connectivity filter, td == target (the exact solve
     of the minor table's parent), then the table's edge, vertex and
     contraction stages, whose 1-unique flags settle every contraction at a
     1-unique vertex and then serve the 1-uniqueness filter; for hits, the
@@ -162,7 +156,7 @@ def _screen_one(job: SearchJob, g6: str) -> _Screened:
     """
     g = parse_graph6(g6)
     counts = ["graphs_scanned"]
-    if g.n > job.budget:
+    if g.n > MAX_VERTICES:
         return counts + ["skipped"], None
     # an empty graph (td 0) is below every target, and has no table
     if g.n == 0 or job.connected_only and not g.is_connected():
@@ -214,7 +208,7 @@ def _config_hash(job: SearchJob, descriptor: str) -> str:
             "critical": job.critical,
             "non_one_unique": job.non_one_unique,
             "connected_only": job.connected_only,
-            "budget": job.budget,
+            "budget": MAX_VERTICES,  # the vertex cap in force; this key keeps hashes stable
             "allow_skips": job.allow_skips,
             "source": descriptor,
         },
@@ -247,8 +241,6 @@ def run_search(job: SearchJob) -> SearchResult:
         raise ValueError("td_target must be positive")
     if job.threads < 1:
         raise ValueError("threads must be positive")
-    if job.budget > MAX_VERTICES:
-        raise ValueError(f"budget cannot exceed the solver cap {MAX_VERTICES}")
     lines, descriptor = _job_lines(job)
     counts: Counter[str] = Counter()
     by_canon: dict[str, CriticalityReport] = {}
@@ -258,7 +250,7 @@ def run_search(job: SearchJob) -> SearchResult:
             by_canon.setdefault(*hit)
     if counts["skipped"] and not job.allow_skips:
         raise BudgetError(
-            f"{counts['skipped']} graph(s) exceeded the per-graph budget {job.budget}; "
+            f"{counts['skipped']} graph(s) exceeded the solver cap {MAX_VERTICES}; "
             "set allow_skips to accept a partial scan"
         )
     counters = SearchCounters(**{f.name: counts[f.name] for f in fields(SearchCounters)})

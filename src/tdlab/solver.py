@@ -95,7 +95,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BudgetError
 from .graphs import Graph, bits, mask_components
 
-MAX_VERTICES = 25
+MAX_VERTICES = 25  # the one vertex cap; no caller can change it
 T_UNIQUE_MAX_N = 10  # min_t scans the 2^(n-1) subsets of V - v past the flags
 _GREEDY_EXACT_MAX = 10  # greedy forests solve components this small exactly
 
@@ -262,12 +262,12 @@ class _MinorTable:
     memo.
     """
 
-    def __init__(self, g: Graph, value: int | None = None, max_vertices: int = MAX_VERTICES):
+    def __init__(self, g: Graph, value: int | None = None):
         self.g, self.full, self.solver = g, g.full_mask(), _SubsetSolver(g.adj)
         if value is None:
             if g.n == 0:
                 raise ValueError("criticality is defined for nonempty graphs")
-            _check_budget(g, max_vertices)
+            _check_budget(g)
             value = self.solver.td(self.full)
         self.value = self.solver.memo[self.full] = value
         self._flags: tuple[bool, ...] | None = None
@@ -362,15 +362,14 @@ class _MinorTable:
         return tuple(out)
 
 
-def _check_budget(g: Graph, max_vertices: int) -> None:
-    cap = min(max_vertices, MAX_VERTICES)
-    if g.n > cap:
-        raise BudgetError(f"solver refuses n={g.n} > cap {cap}")
+def _check_budget(g: Graph) -> None:
+    if g.n > MAX_VERTICES:
+        raise BudgetError(f"solver refuses n={g.n} > cap {MAX_VERTICES}")
 
 
-def tree_depth(g: Graph, max_vertices: int = MAX_VERTICES) -> TreeDepthWitness:
+def tree_depth(g: Graph) -> TreeDepthWitness:
     """Exact tree-depth of g plus a feasible witness labeling and forest."""
-    _check_budget(g, max_vertices)
+    _check_budget(g)
     solver = _SubsetSolver(g.adj)
     value = solver.td(g.full_mask())
     parent = [-1] * g.n
@@ -413,7 +412,7 @@ def tree_depth_decision(g: Graph, k: int) -> bool:
     same solver, so the components the greedy pass solved stay solved."""
     if k < 0:
         raise ValueError("cutoff must be non-negative")
-    _check_budget(g, MAX_VERTICES)
+    _check_budget(g)
     solver, full = _SubsetSolver(g.adj), g.full_mask()
     return _greedy_height(solver, full) <= k or solver.td(full) <= k
 

@@ -130,13 +130,14 @@ def _c1_andrasfai_depth(full: bool) -> tuple[bool, str]:
 
 
 def _c2_andrasfai_critical(full: bool) -> tuple[bool, str]:
-    k_max = 4 if full else 3
+    k_max = 5 if full else 4
     bad = []
     for k in range(1, k_max + 1):
         for tag, g in ((f"And({k})", andrasfai(k)), (f"And({k})-v", andrasfai(k).delete_vertex(0))):
-            if not is_minor_critical(g):
+            report = criticality_report(g)
+            if not report.is_minor_critical:
                 bad.append(f"{tag} not minor-critical")
-            if not is_one_unique(g):
+            if not report.is_one_unique_graph:
                 bad.append(f"{tag} not 1-unique")
     detail = f"minor-critical and 1-unique for And(k), And(k)-v, k=1..{k_max}"
     return not bad, detail if not bad else detail + f"; failed: {bad}"

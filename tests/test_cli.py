@@ -3,8 +3,20 @@ import json
 
 import pytest
 
-from tdlab import SearchResult, canonical_form, cycle, h_graph, parse_graph6, to_edge_list
+from tdlab import (
+    MAX_VERTICES,
+    SearchResult,
+    canonical_form,
+    cycle,
+    h_graph,
+    parse_graph6,
+    path,
+    to_edge_list,
+    to_graph6,
+)
 from tdlab.cli import main
+
+OVER_CAP = to_graph6(path(MAX_VERTICES + 1)) + "\n"
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -44,9 +56,7 @@ def test_td_from_edge_list_file(capsys, tmp_path):
 
 
 def test_td_budget_exceeded(capsys, monkeypatch):
-    code, _, err = run(
-        capsys, ["td", "--budget", "4"], stdin="Dhc\n", monkeypatch=monkeypatch
-    )
+    code, _, err = run(capsys, ["td"], stdin=OVER_CAP, monkeypatch=monkeypatch)
     assert code == 1
     assert "error:" in err
 
@@ -91,11 +101,12 @@ def test_check_labeling_wrong_length(capsys, monkeypatch):
     assert "usage error" in err
 
 
-def test_budget_only_where_a_solver_runs(capsys, monkeypatch):
-    with pytest.raises(SystemExit) as exc:
-        main(["check-labeling", "--budget", "3", "1,2,1"])
-    assert exc.value.code == 2
-    code, _, err = run(capsys, ["report", "--budget", "4"], stdin="Dhc\n", monkeypatch=monkeypatch)
+def test_budget_is_not_an_option(capsys, monkeypatch):
+    for argv in (["td"], ["report"], ["search", "--td", "2", "--n", "3"], ["check-labeling", "1,2,1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--budget", "3"] + argv[1:])
+        assert exc.value.code == 2
+    code, _, err = run(capsys, ["report"], stdin=OVER_CAP, monkeypatch=monkeypatch)
     assert code == 1 and "error:" in err
 
 
@@ -184,16 +195,15 @@ def test_search_with_stream_and_skips(capsys, tmp_path):
     res = SearchResult.from_json(out)
     assert res.counters.graphs_scanned == 2
     assert len(res.hits) == 1
-    code, _, err = run(
-        capsys, ["search", "--td", "2", "--input", str(stream), "--budget", "3"]
-    )
-    assert code == 1
-    code, out, _ = run(
-        capsys,
-        ["search", "--td", "2", "--input", str(stream), "--budget", "3", "--allow-skips"],
-    )
+    stream.write_text(">>header\nDhc\n" + OVER_CAP + "D?{\n")
+    code, _, err = run(capsys, ["search", "--td", "4", "--input", str(stream)])
+    assert code == 1 and "error:" in err
+    code, out, _ = run(capsys, ["search", "--td", "4", "--input", str(stream), "--allow-skips"])
     assert code == 0
-    assert SearchResult.from_json(out).counters.skipped == 2
+    res = SearchResult.from_json(out)
+    assert res.counters.skipped == 1
+    assert res.counters.graphs_scanned == 3
+    assert len(res.hits) == 1
 
 
 def test_verify_paper_quick(capsys):

@@ -11,7 +11,6 @@ from tdlab import (
     cycle,
     cycle_complement,
     enumerate_graphs,
-    enumerate_optimal_labelings,
     feasible_labelings,
     format_labeling,
     h_graph,
@@ -111,19 +110,6 @@ def test_feasible_labelings_edges_cases():
 def test_iter_optimal_uses_td_budget():
     g = complete(3)
     assert list(iter_optimal_labelings(g)) == [lab for lab in itertools.permutations((1, 2, 3))]
-
-
-def test_enumerate_budget_semantics():
-    g = cycle(5)
-    full = list(iter_optimal_labelings(g))
-    labs, complete_flag = enumerate_optimal_labelings(g, budget=10 ** 6)
-    assert complete_flag and labs == full
-    labs, complete_flag = enumerate_optimal_labelings(g, budget=len(full))
-    assert complete_flag and labs == full
-    labs, complete_flag = enumerate_optimal_labelings(g, budget=len(full) - 1)
-    assert not complete_flag and labs == full[:-1]
-    with pytest.raises(ValueError):
-        enumerate_optimal_labelings(g, budget=0)
 
 
 def test_is_reduced():

@@ -7,6 +7,7 @@ import pytest
 
 import tdlab
 from tdlab import (
+    MAX_VERTICES,
     BudgetError,
     Graph,
     SearchCounters,
@@ -18,7 +19,6 @@ from tdlab import (
     h_graph,
     parse_graph6,
     path,
-    read_graph6_lines,
     run_search,
     to_graph6,
     tree_depth,
@@ -84,10 +84,18 @@ def test_enumeration_range():
         list(enumerate_graphs(8))
 
 
-def test_read_graph6_lines():
-    lines = [">>graph6<<", "", "A_", "  D?{  ", ">>comment", "?"]
-    graphs = list(read_graph6_lines(lines))
-    assert [g.n for g in graphs] == [2, 5, 0]
+def test_read_graph6_lines(monkeypatch):
+    parsed = []
+
+    def recording_parse(text):
+        parsed.append(parse_graph6(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(search_module, "parse_graph6", recording_parse)
+    lines = (">>graph6<<", "", "A_", "  D?{  ", ">>comment", "?")
+    res = run_search(SearchJob(td_target=1, graph6_lines=lines))
+    assert [g.n for g in parsed] == [2, 5, 0]
+    assert res.counters.graphs_scanned == 3
 
 
 def test_flagship_counterexample_search():
@@ -221,16 +229,13 @@ def test_hits_are_deduplicated_across_isomorphs():
 
 
 def test_skip_semantics():
-    big = to_graph6(path(26))
+    big = to_graph6(path(MAX_VERTICES + 1))
     with pytest.raises(BudgetError):
         run_search(SearchJob(td_target=3, graph6_lines=(big,)))
     res = run_search(SearchJob(td_target=3, graph6_lines=(big,), allow_skips=True))
     assert res.counters.skipped == 1
     assert res.counters.graphs_scanned == 1
     assert res.hits == ()
-    # a tighter per-graph budget skips smaller graphs too
-    with pytest.raises(BudgetError):
-        run_search(SearchJob(td_target=3, graph6_lines=(to_graph6(path(6)),), budget=5))
 
 
 def test_empty_graph_line_is_below_every_target():
@@ -249,8 +254,6 @@ def test_job_validation():
         run_search(SearchJob(td_target=0, n=5))
     with pytest.raises(ValueError):
         run_search(SearchJob(td_target=3, n=9))
-    with pytest.raises(ValueError):
-        run_search(SearchJob(td_target=3, n=5, budget=26))
 
 
 def test_result_json_round_trip():
