@@ -9,20 +9,14 @@ from .criticality import (
     CriticalityReport,
     critical_spanning_subgraph,
     criticality_report,
-    is_induced_subgraph_critical,
     is_minor_critical,
     is_one_unique,
-    is_one_unique_vertex,
-    is_subgraph_critical,
-    one_unique_vertices,
-    t_uniqueness,
 )
 from .errors import BudgetError, Graph6Error
 from .families import (
-    FAMILY_NAMES,
+    FAMILIES,
     FORBIDDEN_LISTS,
     PATTERNS,
-    FamilySpec,
     andrasfai,
     clique_prism,
     complete,
@@ -30,7 +24,6 @@ from .families import (
     cycle_complement,
     fk_free,
     g4k,
-    generate,
     h_graph,
     k_net,
     path,
@@ -53,7 +46,6 @@ from .labelings import (
     format_labeling,
     irreducible_core,
     is_reduced,
-    iter_optimal_labelings,
     parse_labeling,
     reduce_labeling,
     standard_labeling_andrasfai,

@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: td, check-labeling, report, family, search, verify-paper.
-Graph input is auto-detected: a first line whose bytes all fall in 63..126
-with no whitespace is graph6, anything else is the edge-list format
-("n m" header then one "u v" line per edge). Exit codes: 0 success,
-1 domain failure (infeasible labeling, a graph over the solver's vertex cap,
-failed criteria), 2 usage. The cap, solver.MAX_VERTICES, is fixed: no option
-lowers it.
+Graph input is detected from its first graph6 line, read as search reads a
+stream: blank and '>>' lines are skipped, and a '>>graph6<<' header is cut
+from the front of its line. If every byte of that line falls in 63..126,
+the input is graph6; anything else is the edge-list format ("n m" header,
+which always holds a space, then one "u v" line per edge). Exit codes:
+0 success, 1 domain failure (infeasible labeling, a graph over the
+solver's vertex cap, failed criteria), 2 usage. The cap,
+solver.MAX_VERTICES, is fixed: no option lowers it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 
 from .criticality import criticality_report
 from .errors import BudgetError, Graph6Error
-from .families import FAMILY_NAMES, FamilySpec, PATTERNS, generate
+from .families import FAMILIES, PATTERNS, pattern
 from .graphs import Graph, parse_edge_list, parse_graph6, to_graph6
 from .labelings import format_labeling, parse_labeling
 from .search import ENUM_MAX_N, SearchJob, _graph6_lines, run_search
@@ -36,26 +38,16 @@ def _read_text(path: str | None) -> str:
         return fh.read()
 
 
-def _looks_like_graph6(text: str) -> bool:
-    line = text.lstrip("\n").split("\n", 1)[0].rstrip("\r")
-    if not line:
-        return False
-    return all(63 <= ord(c) <= 126 for c in line)
-
-
-def _read_graph(path: str | None, fmt: str | None) -> Graph:
+def _read_graph(path: str | None) -> Graph:
     text = _read_text(path)
-    if fmt is None:
-        fmt = "g6" if _looks_like_graph6(text) else "edges"
-    if fmt == "g6":
-        for line in _graph6_lines(text.splitlines()):
-            return parse_graph6(line)
-        raise Graph6Error("no graph6 line in input", 0)
+    first = next(_graph6_lines(text.splitlines()), "")
+    if first and all(63 <= ord(c) <= 126 for c in first):
+        return parse_graph6(first)
     return parse_edge_list(text)
 
 
 def _cmd_td(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     witness = tree_depth(g)
     if args.json:
         print(json.dumps({
@@ -70,7 +62,7 @@ def _cmd_td(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_labeling(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     labels = parse_labeling(args.labeling)
     if len(labels) != g.n:
         raise UsageError(f"labeling has {len(labels)} entries for a graph on {g.n} vertices")
@@ -89,7 +81,7 @@ def _cmd_check_labeling(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     report = criticality_report(g)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
@@ -112,7 +104,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     if args.name == "pattern":
         if args.param is None:
             raise UsageError(f"pattern family needs an id from {sorted(PATTERNS)}")
-        spec = FamilySpec(name="pattern", pattern_id=args.param)
+        g = pattern(args.param)
     else:
         if args.param is None:
             raise UsageError(f"family {args.name} needs an integer parameter")
@@ -120,8 +112,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
             param = int(args.param)
         except ValueError:
             raise UsageError(f"family {args.name} needs an integer parameter") from None
-        spec = FamilySpec(name=args.name, param=param)
-    g = generate(spec)
+        g = FAMILIES[args.name](param)
     if args.json:
         print(json.dumps({"graph6": to_graph6(g), "n": g.n, "edges": g.edge_count()}))
     else:
@@ -177,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_graph_input(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", help="graph file (default: stdin)")
-        p.add_argument("--format", choices=("g6", "edges"), help="override input auto-detection")
         p.add_argument("--json", action="store_true", help="JSON output")
 
     p_td = sub.add_parser("td", help="tree-depth with witness labeling")
@@ -194,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(fn=_cmd_report)
 
     p_family = sub.add_parser("family", help="emit a named family member as graph6")
-    p_family.add_argument("name", choices=FAMILY_NAMES)
+    p_family.add_argument("name", choices=(*FAMILIES, "pattern"))
     p_family.add_argument("param", nargs="?", help="integer parameter, or pattern id for 'pattern'")
     p_family.add_argument("--json", action="store_true")
     p_family.set_defaults(fn=_cmd_family)

@@ -69,39 +69,9 @@ from .graphs import Graph
 from .solver import _MinorTable
 
 
-def is_one_unique_vertex(g: Graph, v: int) -> bool:
-    if not 0 <= v < g.n:
-        raise ValueError(f"no vertex {v}")
-    return _MinorTable(g).star_clique_drops(v)
-
-
-def t_uniqueness(g: Graph, v: int) -> int | None:
-    """Least t such that some optimal labeling assigns t to v uniquely, None
-    if no t does. A vertex that is not 1-unique raises BudgetError past
-    solver.T_UNIQUE_MAX_N vertices, and any graph past the solver's
-    MAX_VERTICES does, complete graphs included."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"no vertex {v}")
-    return _MinorTable(g).min_t(v)
-
-
-def one_unique_vertices(g: Graph) -> tuple[bool, ...]:
-    return _MinorTable(g).one_unique() if g.n else ()
-
-
 def is_one_unique(g: Graph) -> bool:
     """Every vertex 1-unique (vacuously true for the empty graph)."""
-    return all(one_unique_vertices(g))
-
-
-def is_subgraph_critical(g: Graph) -> bool:
-    """Every single edge deletion strictly lowers tree-depth."""
-    return all(d for _, _, d in _MinorTable(g).edge_deletions())
-
-
-def is_induced_subgraph_critical(g: Graph) -> bool:
-    """Every single vertex deletion strictly lowers tree-depth."""
-    return all(_MinorTable(g).vertex_deletions())
+    return g.n == 0 or all(_MinorTable(g).one_unique())
 
 
 def is_minor_critical(g: Graph) -> bool:
@@ -185,8 +155,8 @@ def _tuples(value: Any) -> Any:
 
 
 def criticality_report(g: Graph) -> CriticalityReport:
-    if g.n == 0:
-        raise ValueError("criticality report needs a nonempty graph")
+    """Every answer about g from one minor table; ValueError on the empty
+    graph."""
     return _report(_MinorTable(g))
 
 
@@ -207,7 +177,7 @@ def _report(table: _MinorTable) -> CriticalityReport:
         contraction_deltas=contraction_deltas,
         vertex_deletion_deltas=vertex_deltas,
         one_unique=ou,
-        min_t=table.min_ts(),
+        min_t=tuple(map(table.min_t, range(g.n))),
         is_minor_critical=minor_critical,
         is_subgraph_critical=sub_critical,
         is_induced_subgraph_critical=ind_critical,

@@ -8,8 +8,6 @@ member of F_k as an induced subgraph (implemented for k = 0, 1, 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Graph, cartesian_product, contains_induced
 
 # pattern graphs as edge-list constants: name -> (n, edges)
@@ -124,16 +122,9 @@ def andrasfai(k: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    name: str
-    param: int = 0
-    pattern_id: str | None = None
-
-
-# family name -> builder of the member with the given parameter; "pattern"
-# takes a pattern id instead
-_BUILDERS = {
+# family name -> builder of the member with the given parameter; the
+# "pattern" family is pattern(), which takes a pattern id instead
+FAMILIES = {
     "complete": complete,
     "cycle": cycle,
     "path": path,
@@ -144,17 +135,6 @@ _BUILDERS = {
     "h_graph": h_graph,
     "andrasfai": andrasfai,
 }
-FAMILY_NAMES = tuple(_BUILDERS) + ("pattern",)
-
-
-def generate(spec: FamilySpec) -> Graph:
-    if spec.name == "pattern":
-        if spec.pattern_id is None:
-            raise ValueError("pattern family needs pattern_id")
-        return pattern(spec.pattern_id)
-    if spec.name not in _BUILDERS:
-        raise ValueError(f"unknown family {spec.name!r}")
-    return _BUILDERS[spec.name](spec.param)
 
 
 def fk_free(g: Graph, k: int) -> bool:

@@ -80,10 +80,6 @@ def feasible_labelings(
     yield from go(0)
 
 
-def iter_optimal_labelings(g: Graph) -> Iterator[tuple[int, ...]]:
-    return feasible_labelings(g, tree_depth(g).value)
-
-
 def is_reduced(labels: Sequence[int]) -> bool:
     """Reduced: every repeated label is smaller than every singleton label."""
     counts = Counter(labels)

@@ -61,9 +61,11 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 
 
 def _graph6_lines(lines: Iterable[str]) -> Iterator[str]:
-    """Stripped lines of a graph6 stream, without blank and '>>' comment lines."""
+    """Stripped lines of a graph6 stream, without blank and '>>' comment
+    lines. The optional '>>graph6<<' header is cut from the front of its
+    line, which holds the first graph unless the header stands alone."""
     for line in lines:
-        text = line.strip()
+        text = line.strip().removeprefix(">>graph6<<")
         if text and not text.startswith(">>"):
             yield text
 
@@ -72,8 +74,10 @@ def _graph6_lines(lines: Iterable[str]) -> Iterator[str]:
 class SearchJob:
     """One screening run. Exactly one source: built-in order ``n`` or a
     graph6 stream (``graph6_path`` or ``graph6_lines``), read one line at a
-    time. A graph over the solver's vertex cap, MAX_VERTICES, is recorded
-    as a skip and fails the run unless ``allow_skips`` is set.
+    time; a '>>graph6<<' header is cut from the front of its line, and
+    blank lines and other '>>' lines are skipped. A graph over the solver's
+    vertex cap, MAX_VERTICES, is recorded as a skip and fails the run
+    unless ``allow_skips`` is set.
     ``threads`` > 1 screens in a pool of that many worker processes, or
     one per line when there are fewer lines. Every worker task carries the
     job itself, without ``graph6_lines``."""

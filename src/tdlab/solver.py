@@ -88,7 +88,6 @@ order of smallest vertex.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -302,14 +301,11 @@ class _MinorTable:
             yield u, v, int(flags[u] or flags[v] or self._depth(rows, 1 << v) < self.value)
 
     def one_unique(self) -> tuple[bool, ...]:
-        """The 1-unique flag of every vertex, solved on the first call."""
+        """The 1-unique flag of every vertex, solved on the first call: does
+        the star-clique transform at v lower td?"""
         if self._flags is None:
-            self._flags = tuple(self.star_clique_drops(v) for v in range(self.g.n))
+            self._flags = tuple(self._eliminated(1 << v) < self.value for v in range(self.g.n))
         return self._flags
-
-    def star_clique_drops(self, v: int) -> bool:
-        """Is v 1-unique: does the star-clique transform at v lower td?"""
-        return self._eliminated(1 << v) < self.value
 
     def _eliminated(self, s: int) -> int:
         """td of elim(g, s), the graph on V - s that joins two vertices when
@@ -328,18 +324,17 @@ class _MinorTable:
     def min_t(self, v: int) -> int | None:
         """Least t at which some optimal labeling gives v, and no other
         vertex, the label t; None if there is none (criticality module
-        docstring). 1 at a 1-unique flag, reading the flags if they are
-        solved and otherwise solving v's transform alone. Elsewhere v is
-        t-unique iff some nonempty L, a subset of V - v with
-        td(g[L]) = t - 1, has td(elim(g, L + v)) <= td(g) - t; L is skipped
-        without a solve when already td(g - L - v), a subgraph of that
-        elimination, is too deep. Raises BudgetError past T_UNIQUE_MAX_N
-        vertices, where the 2^(n-1) subsets L are too many to scan.
+        docstring). 1 at a 1-unique flag. Elsewhere v is t-unique iff some
+        nonempty L, a subset of V - v with td(g[L]) = t - 1, has
+        td(elim(g, L + v)) <= td(g) - t; L is skipped without a solve when
+        already td(g - L - v), a subgraph of that elimination, is too deep.
+        Past T_UNIQUE_MAX_N vertices, where the 2^(n-1) subsets L are too
+        many to scan, such a v reads None as well.
         """
-        if self.star_clique_drops(v) if self._flags is None else self._flags[v]:
+        if self.one_unique()[v]:
             return 1
         if self.g.n > T_UNIQUE_MAX_N:
-            raise BudgetError(f"min_t capped at n <= {T_UNIQUE_MAX_N} for vertices that are not 1-unique")
+            return None
         td, bit = self.solver.td, 1 << v
         rest = sub = self.full ^ bit
         candidates = []
@@ -352,14 +347,6 @@ class _MinorTable:
             if depth + self._eliminated(sub | bit) < self.value:
                 return depth + 1
         return None
-
-    def min_ts(self) -> tuple[int | None, ...]:
-        """The report's min_t of every vertex, None where min_t raises BudgetError."""
-        out: list[int | None] = [None] * self.g.n
-        for v in range(self.g.n):
-            with suppress(BudgetError):
-                out[v] = self.min_t(v)
-        return tuple(out)
 
 
 def _check_budget(g: Graph) -> None:

@@ -19,8 +19,6 @@ from .criticality import (
     criticality_report,
     is_minor_critical,
     is_one_unique,
-    is_subgraph_critical,
-    one_unique_vertices,
 )
 from .families import (
     andrasfai,
@@ -158,7 +156,7 @@ def _c3_cycle_complements(full: bool) -> tuple[bool, str]:
         if tree_depth(g4k(k)).value != n - 1:
             bad.append(f"td(G{n})")
         if k == 2:
-            if is_subgraph_critical(cycle_complement(8)):
+            if criticality_report(cycle_complement(8)).is_subgraph_critical:
                 bad.append("co-C8 subgraph-critical")
         else:
             # same td after deleting one sparing-matching edge => not critical
@@ -187,15 +185,15 @@ def _c5_h_graphs(full: bool) -> tuple[bool, str]:
     ns = (4, 5, 6) if full else (4, 5)
     bad = []
     for n in ns:
-        g = h_graph(n)
-        if tree_depth(g).value != n + 1:
+        report = criticality_report(h_graph(n))
+        if report.td != n + 1:
             bad.append(f"td(H{n})")
-        if not is_minor_critical(g):
+        if not report.is_minor_critical:
             bad.append(f"H{n} not minor-critical")
-        ou = one_unique_vertices(g)
+        ou = report.one_unique
         if ou[0] or not all(ou[1:]):
             bad.append(f"H{n} non-1-unique set is not exactly the hub")
-        if is_one_unique(g):
+        if report.is_one_unique_graph:
             bad.append(f"H{n} claimed 1-unique")
     detail = f"td(Hn)=n+1, minor-critical, hub is the only non-1-unique vertex, n in {ns}"
     return not bad, detail if not bad else detail + f"; failed: {bad}"

@@ -31,6 +31,9 @@ def test_td_from_stdin_graph6(capsys, monkeypatch):
     code, out, _ = run(capsys, ["td"], stdin="D?{\n", monkeypatch=monkeypatch)
     assert code == 0
     assert out.splitlines() == ["2", "1,1,1,1,2"]
+    # a graph6 header line is skipped, not read as an edge list
+    code, out, _ = run(capsys, ["td"], stdin=">>graph6<<\nDhc\n", monkeypatch=monkeypatch)
+    assert code == 0 and out.splitlines()[0] == "4"
 
 
 def test_td_json(capsys, monkeypatch):
@@ -50,9 +53,10 @@ def test_td_from_edge_list_file(capsys, tmp_path):
     code, out, _ = run(capsys, ["td", "--input", str(f)])
     assert code == 0
     assert out.splitlines()[0] == "4"
-    # explicit format override still works
-    code, out, _ = run(capsys, ["td", "--input", str(f), "--format", "edges"])
-    assert code == 0 and out.splitlines()[0] == "4"
+    # detection is total, so there is no format override
+    with pytest.raises(SystemExit) as exc:
+        main(["td", "--input", str(f), "--format", "edges"])
+    assert exc.value.code == 2
 
 
 def test_td_budget_exceeded(capsys, monkeypatch):
@@ -195,6 +199,13 @@ def test_search_with_stream_and_skips(capsys, tmp_path):
     res = SearchResult.from_json(out)
     assert res.counters.graphs_scanned == 2
     assert len(res.hits) == 1
+    # the graph6 header may share its line with the first graph (C5 here)
+    stream.write_text(">>graph6<<Dhc\nD~{\n")
+    code, out, _ = run(capsys, ["search", "--td", "4", "--input", str(stream)])
+    assert code == 0
+    res = SearchResult.from_json(out)
+    assert res.counters.graphs_scanned == 2
+    assert [g6 for g6, _ in res.hits] == [canonical_form(cycle(5))]
     stream.write_text(">>header\nDhc\n" + OVER_CAP + "D?{\n")
     code, _, err = run(capsys, ["search", "--td", "4", "--input", str(stream)])
     assert code == 1 and "error:" in err

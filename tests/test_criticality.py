@@ -14,12 +14,8 @@ from tdlab import (
     disjoint_union,
     enumerate_graphs,
     h_graph,
-    is_induced_subgraph_critical,
     is_minor_critical,
     is_one_unique,
-    is_one_unique_vertex,
-    is_subgraph_critical,
-    one_unique_vertices,
     path,
     pattern,
     tree_depth,
@@ -33,10 +29,10 @@ from test_graphs import random_graph
 
 
 def test_one_unique_examples():
-    assert is_one_unique_vertex(complete(1), 0)
-    assert all(is_one_unique_vertex(cycle(5), v) for v in range(5))
+    assert criticality_report(complete(1)).one_unique == (True,)
+    assert criticality_report(cycle(5)).one_unique == (True,) * 5
     h = h_graph(4)
-    assert one_unique_vertices(h) == (False, True, True, True, True, True, True)
+    assert criticality_report(h).one_unique == (False, True, True, True, True, True, True)
     assert not is_one_unique(h)
     assert is_one_unique(complete(4))
     assert is_one_unique(cycle_complement(7))
@@ -48,7 +44,7 @@ def test_one_unique_empty_and_disconnected():
     assert not is_one_unique(disjoint_union(complete(2), complete(2)))
     # in a disconnected graph no vertex is 1-unique at all
     g = pattern("2K2")
-    assert one_unique_vertices(g) == (False,) * 4
+    assert criticality_report(g).one_unique == (False,) * 4
 
 
 def test_critical_examples():
@@ -61,10 +57,12 @@ def test_critical_examples():
     assert not is_minor_critical(path(5))
     assert not is_minor_critical(cycle(6))
     # the 2k-th cycle complement keeps its depth after the right deletion
-    assert not is_subgraph_critical(cycle_complement(8))
+    assert not criticality_report(cycle_complement(8)).is_subgraph_critical
     assert not is_minor_critical(pattern("2K2"))
     with pytest.raises(ValueError):
         is_minor_critical(Graph.from_edges(0, []))
+    with pytest.raises(ValueError):
+        criticality_report(Graph.from_edges(0, []))
 
 
 def test_critical_flavors_from_definitions():
@@ -83,9 +81,11 @@ def test_critical_flavors_from_definitions():
         contr_drop = all(
             tree_depth_decision(g.contract_edge(u, v), t - 1) for u, v in g.edges()
         )
-        assert is_subgraph_critical(g) == edges_drop
-        assert is_induced_subgraph_critical(g) == verts_drop
-        assert is_minor_critical(g) == (edges_drop and verts_drop and contr_drop)
+        r = criticality_report(g)
+        assert r.is_subgraph_critical == edges_drop
+        assert r.is_induced_subgraph_critical == verts_drop
+        assert r.is_minor_critical == (edges_drop and verts_drop and contr_drop)
+        assert is_minor_critical(g) == r.is_minor_critical
 
 
 def test_settled_contractions_match_exact_solves_n7():
@@ -203,7 +203,7 @@ def test_critical_spanning_subgraph():
     s = critical_spanning_subgraph(cycle_complement(7))
     assert s.n == 7
     assert tree_depth(s).value == 6
-    assert is_subgraph_critical(s)
+    assert criticality_report(s).is_subgraph_critical
     assert set(s.edges()) <= set(cycle_complement(7).edges())
     assert critical_spanning_subgraph(complete(4)) == complete(4)
     rng = random.Random(53)
@@ -212,7 +212,7 @@ def test_critical_spanning_subgraph():
         s = critical_spanning_subgraph(g)
         assert s.n == g.n
         assert tree_depth(s).value == tree_depth(g).value
-        assert is_subgraph_critical(s)
+        assert criticality_report(s).is_subgraph_critical
         assert set(s.edges()) <= set(g.edges())
 
 

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from tdlab import (
+    FAMILIES,
     FORBIDDEN_LISTS,
-    FamilySpec,
     Graph,
     andrasfai,
     canonical_form,
@@ -18,7 +18,6 @@ from tdlab import (
     enumerate_graphs,
     fk_free,
     g4k,
-    generate,
     h_graph,
     k_net,
     path,
@@ -157,13 +156,13 @@ def test_andrasfai_structure():
 
 
 def test_generate_dispatch():
-    assert generate(FamilySpec("complete", 4)) == complete(4)
-    assert generate(FamilySpec("andrasfai", 3)) == andrasfai(3)
-    assert generate(FamilySpec("pattern", pattern_id="2K2")) == pattern("2K2")
+    assert FAMILIES["complete"](4) == complete(4)
+    assert FAMILIES["andrasfai"](3) == andrasfai(3)
+    assert pattern("2K2") == Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(KeyError):
+        FAMILIES["petersen"]
     with pytest.raises(ValueError):
-        generate(FamilySpec("petersen", 1))
-    with pytest.raises(ValueError):
-        generate(FamilySpec("pattern"))
+        pattern("K9")
 
 
 def test_forbidden_list_equivalence_small():

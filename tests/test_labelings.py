@@ -4,10 +4,10 @@ import random
 import pytest
 
 from tdlab import (
-    BudgetError,
     Graph,
     andrasfai,
     complete,
+    criticality_report,
     cycle,
     cycle_complement,
     enumerate_graphs,
@@ -15,15 +15,12 @@ from tdlab import (
     format_labeling,
     h_graph,
     irreducible_core,
-    is_one_unique_vertex,
     is_reduced,
-    iter_optimal_labelings,
     parse_labeling,
     path,
     reduce_labeling,
     standard_labeling_andrasfai,
     surplus,
-    t_uniqueness,
     tree_depth,
     verify_feasible,
 )
@@ -109,7 +106,7 @@ def test_feasible_labelings_edges_cases():
 
 def test_iter_optimal_uses_td_budget():
     g = complete(3)
-    assert list(iter_optimal_labelings(g)) == [lab for lab in itertools.permutations((1, 2, 3))]
+    assert list(feasible_labelings(g, tree_depth(g).value)) == [lab for lab in itertools.permutations((1, 2, 3))]
 
 
 def test_is_reduced():
@@ -159,7 +156,7 @@ def test_irreducible_core_examples():
     assert core.restricted_labeling == (1, 1)
 
     g = cycle_complement(9)
-    lab = next(iter(iter_optimal_labelings(g)))
+    lab = next(feasible_labelings(g, tree_depth(g).value))
     assert lab == (1, 1, 2, 3, 4, 5, 6, 7, 8)
     c = irreducible_core(g, lab)
     assert c.core_vertices == (0, 1)
@@ -184,7 +181,7 @@ def test_core_surplus_properties_sweep():
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             s = surplus(g)
-            for lab in iter_optimal_labelings(g):
+            for lab in feasible_labelings(g, tree_depth(g).value):
                 red = reduce_labeling(g, lab)
                 if max(red, default=0) > tree_depth(g).value:
                     continue
@@ -207,30 +204,24 @@ def test_standard_andrasfai_labeling():
 
 
 def test_t_uniqueness_values():
-    for v in range(3):
-        assert t_uniqueness(complete(3), v) == 1
+    assert criticality_report(complete(3)).min_t == (1, 1, 1)
     # a 1-unique vertex is not capped by size
-    assert t_uniqueness(complete(12), 5) == 1
-    assert [t_uniqueness(Graph.from_edges(2, []), v) for v in range(2)] == [None, None]
-    assert [t_uniqueness(cycle(5), v) for v in range(5)] == [1] * 5
+    assert criticality_report(complete(12)).min_t[5] == 1
+    assert criticality_report(Graph.from_edges(2, [])).min_t == (None, None)
+    assert criticality_report(cycle(5)).min_t == (1,) * 5
     # hub of the subdivided clique is 2-unique but not 1-unique
-    h = h_graph(4)
-    assert t_uniqueness(h, 0) == 2
-    assert all(t_uniqueness(h, v) == 1 for v in range(1, h.n))
+    assert criticality_report(h_graph(4)).min_t == (2,) + (1,) * 6
 
 
 def test_t_uniqueness_matches_star_clique_test():
     for n in range(1, 6):
         for g in enumerate_graphs(n):
-            for v in range(g.n):
-                assert (t_uniqueness(g, v) == 1) == is_one_unique_vertex(g, v)
+            report = criticality_report(g)
+            assert [t == 1 for t in report.min_t] == list(report.one_unique)
 
 
 def test_t_uniqueness_caps():
-    with pytest.raises(BudgetError):
-        t_uniqueness(path(11), 0)  # n over the cap, not 1-unique
-    with pytest.raises(BudgetError):
-        t_uniqueness(h_graph(6), 0)  # the hub, n = 11, not 1-unique
-    assert t_uniqueness(cycle_complement(9), 0) == 1  # td 8 is no cap
-    with pytest.raises(ValueError):
-        t_uniqueness(path(3), 5)
+    # past solver.T_UNIQUE_MAX_N a vertex that is not 1-unique reads None
+    assert criticality_report(path(11)).min_t[0] is None
+    assert criticality_report(h_graph(6)).min_t[0] is None  # the hub, n = 11
+    assert criticality_report(cycle_complement(9)).min_t[0] == 1  # td 8 is no cap

@@ -7,10 +7,8 @@ from tdlab import (
     canonical_form,
     criticality_report,
     fk_free,
-    is_one_unique_vertex,
     parse_graph6,
     surplus,
-    t_uniqueness,
     to_graph6,
     tree_depth,
     tree_depth_decision,
@@ -93,8 +91,8 @@ def test_one_uniqueness_equals_t_uniqueness_one():
     rng = random.Random(137)
     for _ in range(25):
         g = random_graph(rng, n=rng.randrange(2, 8))
-        for v in range(g.n):
-            assert is_one_unique_vertex(g, v) == (t_uniqueness(g, v) == 1)
+        r = criticality_report(g)
+        assert [t == 1 for t in r.min_t] == list(r.one_unique)
 
 
 def test_report_flags_match_delta_tables():
@@ -120,6 +118,7 @@ def test_one_unique_check_equals_transform_depth_drop():
     for _ in range(40):
         g = random_graph(rng, n=rng.randrange(1, 8))
         t = tree_depth(g).value
+        flags = criticality_report(g).one_unique
         for v in range(g.n):
             dropped = tree_depth(g.star_clique_transform(v)).value < t
-            assert is_one_unique_vertex(g, v) == dropped
+            assert flags[v] == dropped
