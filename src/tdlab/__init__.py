@@ -34,7 +34,6 @@ from .graphs import (
     canonical_form,
     cartesian_product,
     contains_induced,
-    disjoint_union,
     parse_edge_list,
     parse_graph6,
     to_edge_list,

@@ -4,8 +4,10 @@ Subcommands: td, check-labeling, report, family, search, verify-paper.
 Graph input is detected from its first graph6 line, read as search reads a
 stream: blank and '>>' lines are skipped, and a '>>graph6<<' header is cut
 from the front of its line. If every byte of that line falls in 63..126,
-the input is graph6; anything else is the edge-list format ("n m" header,
-which always holds a space, then one "u v" line per edge). Exit codes:
+the input is graph6 and must hold no further line; anything else is the
+edge-list format ("n m" header, which always holds a space, then one "u v"
+line per edge). td, check-labeling and report read one graph; a stream of
+graphs is screened with search --input. Exit codes:
 0 success, 1 domain failure (infeasible labeling, a graph over the
 solver's vertex cap, failed criteria), 2 usage. The cap,
 solver.MAX_VERTICES, is fixed: no option lowers it.
@@ -40,8 +42,11 @@ def _read_text(path: str | None) -> str:
 
 def _read_graph(path: str | None) -> Graph:
     text = _read_text(path)
-    first = next(_graph6_lines(text.splitlines()), "")
+    lines = _graph6_lines(text.splitlines())
+    first = next(lines, "")
     if first and all(63 <= ord(c) <= 126 for c in first):
+        if next(lines, None) is not None:
+            raise ValueError("input holds more than one graph6 line; screen a stream with search --input")
         return parse_graph6(first)
     return parse_edge_list(text)
 
@@ -197,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--non-1-unique", dest="non_1_unique", action="store_true",
                           help="keep only graphs with a non-1-unique vertex")
     p_search.add_argument("--connected-only", action="store_true")
-    p_search.add_argument("--threads", type=int, default=1)
+    p_search.add_argument("--threads", type=int, default=1,
+                          help="worker processes, at most one per core and one per line")
     p_search.add_argument("--allow-skips", action="store_true",
                           help=f"tolerate graphs over {MAX_VERTICES} vertices (recorded as skips)")
     p_search.add_argument("--output", help="write the JSON result here instead of stdout")

@@ -144,15 +144,6 @@ class CriticalityReport:
         # not asdict: its deep copy doubles the JSON time of a search's hits
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "CriticalityReport":
-        return CriticalityReport(**{f.name: _tuples(data[f.name]) for f in fields(CriticalityReport)})
-
-
-def _tuples(value: Any) -> Any:
-    """A JSON value with every list, at any depth, turned back into a tuple."""
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
-
 
 def criticality_report(g: Graph) -> CriticalityReport:
     """Every answer about g from one minor table; ValueError on the empty

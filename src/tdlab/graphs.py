@@ -2,9 +2,8 @@
 
 Covers the structural toolkit everything else builds on: minor operations
 (edge/vertex deletion, edge contraction), induced subgraphs, complement,
-disjoint union, cartesian product, the star-clique transform, exact
-canonicalization for small graphs, induced-pattern containment, and the
-graph6 / edge-list text codecs.
+cartesian product, exact canonicalization for small graphs,
+induced-pattern containment, and the graph6 / edge-list text codecs.
 """
 
 from __future__ import annotations
@@ -97,9 +96,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.adj[v]))
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -118,17 +114,11 @@ class Graph:
                 out.append((u, u + 1 + d))
         return out
 
-    def is_complete(self) -> bool:
-        return self.edge_count() == self.n * (self.n - 1) // 2
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def component_masks(self) -> list[int]:
-        return mask_components(self.adj, self.full_mask())
-
     def is_connected(self) -> bool:
-        return len(self.component_masks()) <= 1
+        return len(mask_components(self.adj, self.full_mask())) <= 1
 
     # -- minor operations -------------------------------------------------
 
@@ -188,16 +178,6 @@ class Graph:
         full = self.full_mask()
         return Graph(self.n, [full & ~self.adj[v] & ~(1 << v) for v in range(self.n)])
 
-    def star_clique_transform(self, v: int) -> "Graph":
-        """Turn N(v) into a clique, then delete v."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"no vertex {v}")
-        rows = list(self.adj)
-        nbrs = rows[v]
-        for w in bits(nbrs):
-            rows[w] |= nbrs & ~(1 << w)
-        return Graph(self.n, rows).delete_vertex(v)
-
     def relabeled(self, perm: Sequence[int]) -> "Graph":
         """New graph with old vertex v renamed to perm[v]."""
         if sorted(perm) != list(range(self.n)):
@@ -218,12 +198,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """g followed by h, with h's vertices shifted up by g.n."""
-    rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(g.n + h.n, rows)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

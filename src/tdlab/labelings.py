@@ -41,15 +41,10 @@ def format_labeling(labels: Sequence[int]) -> str:
     return ",".join(str(c) for c in labels)
 
 
-def feasible_labelings(
-    g: Graph,
-    max_label: int,
-    allowed: Sequence[Sequence[int]] | None = None,
-) -> Iterator[tuple[int, ...]]:
+def feasible_labelings(g: Graph, max_label: int) -> Iterator[tuple[int, ...]]:
     """All feasible labelings with labels in 1..max_label, in lexicographic
-    order of the label array. ``allowed`` optionally restricts the label
-    choices per vertex. Backtracking with the pruning rule of the module
-    docstring.
+    order of the label array. Backtracking with the pruning rule of the
+    module docstring.
     """
     n = g.n
     if n == 0:
@@ -57,10 +52,6 @@ def feasible_labelings(
         return
     if max_label <= 0:
         return
-    if allowed is None:
-        choices = [range(1, max_label + 1)] * n
-    else:
-        choices = [sorted(set(a) & set(range(1, max_label + 1))) for a in allowed]
     adj = g.adj
     labels = [0] * n
     cls = [0] * (max_label + 1)  # mask of the labeled vertices per label
@@ -70,7 +61,7 @@ def feasible_labelings(
             yield tuple(labels)
             return
         bit = 1 << v
-        for c in choices[v]:
+        for c in range(1, max_label + 1):
             labels[v] = c
             cls[c] |= bit
             if _first_repeat(adj, enumerate(cls[c:], c), sum(cls[:c])) is None:

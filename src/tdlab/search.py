@@ -13,6 +13,7 @@ from graph6 line streams.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache, partial
@@ -78,9 +79,9 @@ class SearchJob:
     blank lines and other '>>' lines are skipped. A graph over the solver's
     vertex cap, MAX_VERTICES, is recorded as a skip and fails the run
     unless ``allow_skips`` is set.
-    ``threads`` > 1 screens in a pool of that many worker processes, or
-    one per line when there are fewer lines. Every worker task carries the
-    job itself, without ``graph6_lines``."""
+    ``threads`` > 1 screens in a pool of that many worker processes, but
+    no more than one per core or one per line. Every worker task carries
+    the job itself, without ``graph6_lines``."""
 
     td_target: int
     n: int | None = None
@@ -131,21 +132,6 @@ class SearchResult:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "SearchResult":
-        return SearchResult(
-            hits=tuple(
-                (h["graph6"], CriticalityReport.from_dict(h["report"]))
-                for h in data["hits"]
-            ),
-            counters=SearchCounters(**data["counters"]),
-            provenance=dict(data["provenance"]),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SearchResult":
-        return SearchResult.from_dict(json.loads(text))
 
 
 def _screen_one(job: SearchJob, g6: str) -> _Screened:
@@ -223,11 +209,11 @@ def _config_hash(job: SearchJob, descriptor: str) -> str:
 
 def _screened(job: SearchJob, lines: Iterator[str]) -> Iterator[_Screened]:
     """_screen_one over the lines, in order. With threads > 1 a pool of at
-    most one worker per line screens _LINES_PER_TASK lines per task; its
-    task pipe holds back the reading of the lines."""
+    most one worker per core and per line screens _LINES_PER_TASK lines per
+    task; its task pipe holds back the reading of the lines."""
     # the job goes to every task: without its lines, a task stays small
     screen = partial(_screen_one, replace(job, graph6_lines=None))
-    head = list(islice(lines, job.threads))
+    head = list(islice(lines, min(job.threads, os.cpu_count() or 1)))
     if len(head) < 2:
         yield from map(screen, chain(head, lines))
         return

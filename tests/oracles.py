@@ -4,12 +4,31 @@ Deliberately written from the definitions, with different algorithms than
 the package: feasibility by per-pair path search, tree-depth by label
 enumeration or by the shortcut-free recursion on vertex sets, isomorphism by
 permutation scan, graph6 by direct bit reading, vertex connectivity by
-scanning vertex cuts.
+scanning vertex cuts. The two graph constructions the package does not
+need, the star-clique transform and the disjoint union, are built here from
+edge lists.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from tdlab import Graph
+
+
+def star_clique_transform(g: Graph, v: int) -> Graph:
+    """Join every two neighbours of v, then delete v; vertices above v shift
+    down by one."""
+    nbrs = [u for u in range(g.n) if g.has_edge(u, v)]
+    edges = set(g.edges()) | set(itertools.combinations(nbrs, 2))
+    return Graph.from_edges(
+        g.n - 1, [(a - (a > v), b - (b > v)) for a, b in edges if v not in (a, b)]
+    )
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """g followed by h, with h's vertices shifted up by g.n."""
+    return Graph.from_edges(g.n + h.n, g.edges() + [(a + g.n, b + g.n) for a, b in h.edges()])
 
 
 def ref_feasible(n: int, edges: list[tuple[int, int]], labels) -> bool:

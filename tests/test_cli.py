@@ -5,7 +5,6 @@ import pytest
 
 from tdlab import (
     MAX_VERTICES,
-    SearchResult,
     canonical_form,
     cycle,
     h_graph,
@@ -57,6 +56,16 @@ def test_td_from_edge_list_file(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["td", "--input", str(f), "--format", "edges"])
     assert exc.value.code == 2
+
+
+def test_single_graph_commands_refuse_a_stream(capsys, monkeypatch):
+    for argv in (["td"], ["report"], ["check-labeling", "1,1,1,1,2"]):
+        code, out, err = run(capsys, argv, stdin="Dhc\nD~{\n", monkeypatch=monkeypatch)
+        assert code == 1 and out == ""
+        assert "error:" in err and "search --input" in err
+    # header, comment and blank lines around one graph leave one graph
+    code, out, _ = run(capsys, ["td"], stdin=">>graph6<<\nDhc\n>>end\n\n", monkeypatch=monkeypatch)
+    assert code == 0 and out.splitlines()[0] == "4"
 
 
 def test_td_budget_exceeded(capsys, monkeypatch):
@@ -164,9 +173,9 @@ def test_search_stdout(capsys):
         capsys, ["search", "--td", "5", "--n", "7", "--critical", "--non-1-unique"]
     )
     assert code == 0
-    res = SearchResult.from_json(out)
-    assert [g6 for g6, _ in res.hits] == ["FF`HW", "FQhXw"]
-    assert res.hits[0][0] == canonical_form(h_graph(4))
+    res = json.loads(out)
+    assert [hit["graph6"] for hit in res["hits"]] == ["FF`HW", "FQhXw"]
+    assert res["hits"][0]["graph6"] == canonical_form(h_graph(4))
 
 
 def test_search_output_file(capsys, tmp_path):
@@ -175,9 +184,9 @@ def test_search_output_file(capsys, tmp_path):
         capsys, ["search", "--td", "4", "--n", "5", "--critical", "--output", str(dest)]
     )
     assert code == 0 and out == ""
-    res = SearchResult.from_json(dest.read_text())
-    assert res.counters.graphs_scanned == 34
-    assert all(rep.is_minor_critical for _, rep in res.hits)
+    res = json.loads(dest.read_text())
+    assert res["counters"]["graphs_scanned"] == 34
+    assert all(hit["report"]["is_minor_critical"] for hit in res["hits"])
 
 
 def test_search_source_validation(capsys, tmp_path):
@@ -196,25 +205,25 @@ def test_search_with_stream_and_skips(capsys, tmp_path):
     stream.write_text(">>header\nDhc\nD?{\n")
     code, out, _ = run(capsys, ["search", "--td", "4", "--input", str(stream)])
     assert code == 0
-    res = SearchResult.from_json(out)
-    assert res.counters.graphs_scanned == 2
-    assert len(res.hits) == 1
+    res = json.loads(out)
+    assert res["counters"]["graphs_scanned"] == 2
+    assert len(res["hits"]) == 1
     # the graph6 header may share its line with the first graph (C5 here)
     stream.write_text(">>graph6<<Dhc\nD~{\n")
     code, out, _ = run(capsys, ["search", "--td", "4", "--input", str(stream)])
     assert code == 0
-    res = SearchResult.from_json(out)
-    assert res.counters.graphs_scanned == 2
-    assert [g6 for g6, _ in res.hits] == [canonical_form(cycle(5))]
+    res = json.loads(out)
+    assert res["counters"]["graphs_scanned"] == 2
+    assert [hit["graph6"] for hit in res["hits"]] == [canonical_form(cycle(5))]
     stream.write_text(">>header\nDhc\n" + OVER_CAP + "D?{\n")
     code, _, err = run(capsys, ["search", "--td", "4", "--input", str(stream)])
     assert code == 1 and "error:" in err
     code, out, _ = run(capsys, ["search", "--td", "4", "--input", str(stream), "--allow-skips"])
     assert code == 0
-    res = SearchResult.from_json(out)
-    assert res.counters.skipped == 1
-    assert res.counters.graphs_scanned == 3
-    assert len(res.hits) == 1
+    res = json.loads(out)
+    assert res["counters"]["skipped"] == 1
+    assert res["counters"]["graphs_scanned"] == 3
+    assert len(res["hits"]) == 1
 
 
 def test_verify_paper_quick(capsys):

@@ -68,36 +68,6 @@ def test_feasible_labelings_random_graphs():
         assert got == ref
 
 
-def test_feasible_labelings_allowed_restriction():
-    g = path(3)
-    got = list(feasible_labelings(g, 2, allowed=[[1], [1, 2], [1, 2]]))
-    assert got == [(1, 2, 1)]
-    # allowed values outside 1..max_label are dropped
-    assert list(feasible_labelings(g, 2, allowed=[[1], [5], [1]])) == []
-
-
-def test_feasible_labelings_allowed_match_filtered_scan():
-    rng = random.Random(47)
-    found = 0
-    for n in range(1, 5):
-        for g in enumerate_graphs(n):
-            for _ in range(4):
-                top = rng.randrange(1, n + 1)
-                # values outside 1..top are offered too; they must be ignored
-                pool = range(-1, top + 3)
-                allowed = [rng.sample(pool, rng.randrange(len(pool) + 1)) for _ in range(n)]
-                got = list(feasible_labelings(g, top, allowed))
-                ref = [
-                    labels
-                    for labels in itertools.product(range(1, top + 1), repeat=n)
-                    if all(c in a for c, a in zip(labels, allowed))
-                    and ref_feasible(n, g.edges(), labels)
-                ]
-                assert got == ref
-                found += len(got)
-    assert found > 50  # the sweep is not vacuous
-
-
 def test_feasible_labelings_edges_cases():
     assert list(feasible_labelings(Graph.from_edges(0, []), 3)) == [()]
     assert list(feasible_labelings(path(2), 0)) == []

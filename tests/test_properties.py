@@ -14,6 +14,7 @@ from tdlab import (
     tree_depth_decision,
 )
 
+from oracles import star_clique_transform
 from test_graphs import random_graph
 
 
@@ -62,7 +63,7 @@ def test_surplus_range_and_completeness():
         g = random_graph(rng)
         s = surplus(g)
         assert 0 <= s <= max(g.n - 1, 0)
-        assert (s == 0) == g.is_complete()
+        assert (s == 0) == (g.edge_count() == g.n * (g.n - 1) // 2)
 
 
 def test_forbidden_freeness_is_nested():
@@ -120,5 +121,5 @@ def test_one_unique_check_equals_transform_depth_drop():
         t = tree_depth(g).value
         flags = criticality_report(g).one_unique
         for v in range(g.n):
-            dropped = tree_depth(g.star_clique_transform(v)).value < t
+            dropped = tree_depth(star_clique_transform(g, v)).value < t
             assert flags[v] == dropped

@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import tdlab
 from tdlab import (
     MAX_VERTICES,
     BudgetError,
+    CriticalityReport,
     Graph,
     SearchCounters,
     SearchJob,
@@ -27,6 +30,7 @@ from tdlab import search as search_module
 from tdlab.search import ENUM_MAX_N, _enumerated_graph6
 
 from oracles import ref_isomorphism_classes
+from test_criticality import json_shape
 
 
 CENSUS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -194,7 +198,9 @@ def test_stream_is_screened_as_it_is_read(monkeypatch):
     assert all(seen <= k + 1 for k, seen in enumerate(screened, 1))
 
 
-def test_pool_never_outnumbers_lines(monkeypatch):
+def _serial_pool(monkeypatch, cores):
+    """Pool sizes asked for, with Pool replaced by an in-process fake on a
+    host of ``cores`` cores; no worker process is started."""
     sizes = []
 
     class SerialPool:
@@ -211,10 +217,26 @@ def test_pool_never_outnumbers_lines(monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(search_module, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    return sizes
+
+
+def test_pool_never_outnumbers_lines(monkeypatch):
+    sizes = _serial_pool(monkeypatch, 8)
     lines = (to_graph6(cycle(5)), to_graph6(path(5)))
     res = run_search(SearchJob(td_target=4, graph6_lines=lines, threads=8))
     assert sizes == [2]
     assert res == run_search(SearchJob(td_target=4, graph6_lines=lines))
+
+
+def test_pool_never_outnumbers_cores(monkeypatch):
+    lines = tuple(to_graph6(g) for g in enumerate_graphs(5))
+    serial = run_search(SearchJob(td_target=4, graph6_lines=lines))
+    for cores, expect in ((3, [3]), (1, []), (None, [])):
+        sizes = _serial_pool(monkeypatch, cores)
+        res = run_search(SearchJob(td_target=4, graph6_lines=lines, threads=5000))
+        assert sizes == expect
+        assert res == serial
 
 
 def test_hits_are_deduplicated_across_isomorphs():
@@ -258,9 +280,13 @@ def test_job_validation():
 
 def test_result_json_round_trip():
     res = run_search(SearchJob(td_target=4, n=5, critical=True))
-    back = SearchResult.from_json(res.to_json())
-    assert back == res
-    assert back.to_dict() == res.to_dict()
+    data = res.to_dict()
+    assert list(data) == [f.name for f in fields(SearchResult)]
+    assert list(data["counters"]) == [f.name for f in fields(SearchCounters)]
+    assert res.hits
+    for hit in data["hits"]:
+        assert list(hit["report"]) == [f.name for f in fields(CriticalityReport)]
+    assert json.loads(res.to_json()) == json_shape(data)
 
 
 def test_provenance_is_deterministic():

@@ -11,7 +11,6 @@ from tdlab import (
     criticality_report,
     cycle,
     cycle_complement,
-    disjoint_union,
     enumerate_graphs,
     fk_free,
     g4k,
@@ -30,11 +29,13 @@ from tdlab import solver as solver_module
 from tdlab.solver import MAX_VERTICES, _greedy_height, _MinorTable, _no_f1_through, _SubsetSolver
 
 from oracles import (
+    disjoint_union,
     ref_feasible,
     ref_tree_depth,
     ref_tree_depth_dp,
     ref_tree_depth_scan,
     ref_witness_dp,
+    star_clique_transform,
 )
 
 from test_graphs import random_graph
@@ -345,7 +346,7 @@ def test_minor_table_matches_exact_minor_solves():
                 [(u, v, value - tree_depth(g.delete_edge(u, v)).value) for u, v in g.edges()],
                 [(u, v, value - tree_depth(g.contract_edge(u, v)).value) for u, v in g.edges()],
                 [value - tree_depth(g.delete_vertex(v)).value for v in range(n)],
-                [tree_depth(g.star_clique_transform(v)).value < value for v in range(n)],
+                [tree_depth(star_clique_transform(g, v)).value < value for v in range(n)],
             )
             assert _table_rows(table) == expected
             # a table on a fresh parent solver (as critical_spanning_subgraph builds it)
@@ -403,7 +404,7 @@ def test_minor_solver_memos_are_exact(monkeypatch):
             # flags settle every contraction at a 1-unique vertex
             flags = table.one_unique()
             for v in range(g.n):
-                entries += check(g.star_clique_transform(v), v)
+                entries += check(star_clique_transform(g, v), v)
             for u, v, _ in table.contractions():
                 if not flags[u] and not flags[v]:
                     entries += check(g.contract_edge(u, v), v)
@@ -431,7 +432,7 @@ def test_elimination_solver_memos_are_exact(monkeypatch):
             dropped = sorted(bits(solver.dropped))
             h = g
             for x in reversed(dropped):  # vertices above x shift down by one
-                h = h.star_clique_transform(x)
+                h = star_clique_transform(h, x)
             td = ref_tree_depth_dp(h.n, h.edges())
             for mask, depth in solver.memo.items():
                 assert not mask & solver.dropped
