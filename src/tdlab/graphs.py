@@ -66,10 +66,9 @@ class Graph:
             return
         if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << n) - 1
         rows = tuple(adj)
         for v, row in enumerate(rows):
-            if row & ~full:
+            if row >> n:  # a bit at n or above, or a negative row
                 raise ValueError(f"adjacency row {v} references vertices >= {n}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")

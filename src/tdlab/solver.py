@@ -55,6 +55,17 @@ so its height bounds td(g) from above (td(S) <= 1 + td(S - v) for every v).
 A height <= k answers yes; otherwise the exact solve on the same solver
 decides.
 
+The module keeps the solver of the last graph asked, one entry keyed on
+the adjacency rows (_solver_for). tree_depth, tree_depth_decision and every
+minor table take their solver from it, so tree_depth(g) followed by
+tree_depth_decision(g, td - 1) solves g once; a minor table given td(g)
+writes it into that shared memo. At rest one graph's memo stays alive. A
+new graph's solver is made empty and the kept one is dropped before the
+new memo grows, so unless a caller still holds the old solver the peak is
+one graph's memo. Every memo entry is exact whoever writes it, so threads
+that share the kept solver, or replace it while another still holds the
+old one, get exact answers.
+
 The minor table runs the recursion on each single-step minor h of g that
 its 1-unique flags do not settle, and on each elimination elim(g, D): the
 graph on V - D in which x and y are adjacent when some path joins them
@@ -88,6 +99,7 @@ order of smallest vertex.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -117,11 +129,8 @@ class FeasibilityCheck:
 
 class _SubsetSolver:
     """Memoized exact tree-depth over vertex subsets of one graph, given by
-    its adjacency rows.
-
-    One instance per tree_depth/tree_depth_decision call or minor table (whose
-    minor solvers share it); no state is shared across calls, so concurrent
-    use on different graphs is safe.
+    its adjacency rows. Callers take it from _solver_for; a minor table's
+    minor solvers share its instance.
     """
 
     def __init__(self, adj: Sequence[int]):
@@ -257,16 +266,15 @@ class _MinorTable:
     it, so the subsets that h shares with g are solved once, in the parent.
     The star-clique flags are solved once per table and settle every
     contraction at a 1-unique vertex: G/uv is a subgraph of the transform at
-    u and at v. ``value``, when given, must be td(g); it seeds the parent
-    memo.
+    u and at v. The parent solver comes from _solver_for. ``value``, when
+    given, must be td(g): it seeds that shared memo.
     """
 
     def __init__(self, g: Graph, value: int | None = None):
-        self.g, self.full, self.solver = g, g.full_mask(), _SubsetSolver(g.adj)
+        self.g, self.full, self.solver = g, g.full_mask(), _solver_for(g.adj)
         if value is None:
             if g.n == 0:
                 raise ValueError("criticality is defined for nonempty graphs")
-            _check_budget(g)
             value = self.solver.td(self.full)
         self.value = self.solver.memo[self.full] = value
         self._flags: tuple[bool, ...] | None = None
@@ -349,15 +357,19 @@ class _MinorTable:
         return None
 
 
-def _check_budget(g: Graph) -> None:
-    if g.n > MAX_VERTICES:
-        raise BudgetError(f"solver refuses n={g.n} > cap {MAX_VERTICES}")
+@functools.lru_cache(maxsize=1)
+def _solver_for(adj: tuple[int, ...]) -> _SubsetSolver:
+    """The solver of the graph with these adjacency rows, kept until a
+    graph with other rows is asked (the rule is in the module docstring).
+    The vertex cap is checked here, once for every solve."""
+    if len(adj) > MAX_VERTICES:
+        raise BudgetError(f"solver refuses n={len(adj)} > cap {MAX_VERTICES}")
+    return _SubsetSolver(adj)
 
 
 def tree_depth(g: Graph) -> TreeDepthWitness:
     """Exact tree-depth of g plus a feasible witness labeling and forest."""
-    _check_budget(g)
-    solver = _SubsetSolver(g.adj)
+    solver = _solver_for(g.adj)
     value = solver.td(g.full_mask())
     parent = [-1] * g.n
     label = [0] * g.n
@@ -396,11 +408,12 @@ def _greedy_height(solver: _SubsetSolver, mask: int) -> int:
 def tree_depth_decision(g: Graph, k: int) -> bool:
     """Is td(g) <= k? Yes at once if a greedy elimination forest has height
     <= k; otherwise the exact solve that tree_depth runs decides, on the
-    same solver, so the components the greedy pass solved stay solved."""
+    same solver, so the components the greedy pass solved stay solved.
+    The solver comes from _solver_for, so after tree_depth(g) the exact
+    solve is a memo hit."""
     if k < 0:
         raise ValueError("cutoff must be non-negative")
-    _check_budget(g)
-    solver, full = _SubsetSolver(g.adj), g.full_mask()
+    solver, full = _solver_for(g.adj), g.full_mask()
     return _greedy_height(solver, full) <= k or solver.td(full) <= k
 
 

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -22,7 +24,8 @@ from tdlab import (
     tree_depth_decision,
 )
 from tdlab import solver as solver_module
-from tdlab.solver import _MinorTable
+from tdlab import criticality as criticality_module
+from tdlab.solver import _MinorTable, _solver_for
 from tdlab.verify import _direct_min_t
 
 from oracles import disjoint_union
@@ -224,6 +227,33 @@ def test_critical_spanning_subgraph():
         assert tree_depth(s).value == tree_depth(g).value
         assert criticality_report(s).is_subgraph_critical
         assert set(s.edges()) <= set(g.edges())
+
+
+def test_spanning_subgraph_frees_the_graphs_solver_at_its_first_deletion(monkeypatch):
+    # every table of the pass takes the kept solver, so g's solver and memo
+    # go once the table of the first deletion is made, not at the end
+    g = Graph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])  # deleting 01 keeps td 3
+    solvers, alive = [], []
+
+    class Watched(_MinorTable):
+        def __init__(self, h, value=None):
+            super().__init__(h, value)
+            solvers.append(weakref.ref(self.solver))
+
+        def edge_drops(self, u, v):
+            alive.append([ref() is not None for ref in solvers])
+            return super().edge_drops(u, v)
+
+    monkeypatch.setattr(criticality_module, "_MinorTable", Watched)
+    _solver_for.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        s = critical_spanning_subgraph(g)
+    finally:
+        gc.enable()
+    assert s.edges() == [(2, 3), (2, 4), (3, 4)]
+    assert alive == [[True], [False, True], [False, True], [False, True]]
 
 
 def restart_spanning_subgraph(g):

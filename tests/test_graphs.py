@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -51,6 +52,19 @@ def test_graph_construction_validates():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(1, 1)])
+    for rows in ([0b100, 0], [-1, 0], [0b10, 0], [0b1, 0b10]):
+        with pytest.raises(ValueError):
+            Graph(2, rows)  # a vertex >= n, a negative row, asymmetry, self-loops
+    assert Graph(2, [0b10, 0b01]).edges() == [(0, 1)]
+
+
+def test_graph_construction_is_linear_in_n():
+    # each row is checked against n by a shift, not by an n-bit mask built
+    # per row, which made an edge-list header like "1000000 0" take a minute
+    start = time.process_time()
+    g = Graph(400_000, [0] * 400_000)
+    assert time.process_time() - start < 2.0
+    assert g.n == 400_000 and g.edge_count() == 0
 
 
 def test_basic_accessors():

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -24,9 +25,10 @@ from tdlab import (
     tree_depth_decision,
     verify_feasible,
 )
+from tdlab.criticality import _report
 from tdlab.graphs import bits
 from tdlab import solver as solver_module
-from tdlab.solver import MAX_VERTICES, _greedy_height, _MinorTable, _no_f1_through, _SubsetSolver
+from tdlab.solver import MAX_VERTICES, _greedy_height, _MinorTable, _no_f1_through, _solver_for, _SubsetSolver
 
 from oracles import (
     disjoint_union,
@@ -245,9 +247,13 @@ def _greedy_sized_graphs():
 
 
 def test_decision_matches_value_past_the_greedy_threshold():
+    # from the top down, so the greedy answers come first and the first k
+    # below the greedy height runs a cold exact solve: the kept solver of
+    # tree_depth(g) is evicted before the decisions
     for g in _greedy_sized_graphs():
         td = tree_depth(g).value
-        for k in range(0, g.n + 2):
+        _solver_for.cache_clear()
+        for k in range(g.n + 1, -1, -1):
             assert tree_depth_decision(g, k) == (td <= k), (g.edges(), k)
 
 
@@ -272,16 +278,81 @@ def test_memo_after_greedy_then_exact_matches_shortcut_free_recursion():
 
 
 def test_tree_depth_frees_its_solver_without_gc():
-    # the solver and its memo must go with the call, not wait for a GC pass
+    # only the kept solver of the last graph outlives a call, and a solver
+    # and its memo go as soon as another graph is asked, not at a GC pass
     gc.collect()
     gc.disable()
     try:
         for n in range(3, 8):
             tree_depth(cycle(n))
         left = [o for o in gc.get_objects() if isinstance(o, _SubsetSolver)]
+        kept = [o.adj for o in left]
+        last = weakref.ref(left[0])
+        del left
+        tree_depth(path(4))
+        gone = last() is None
     finally:
         gc.enable()
-    assert not left
+    assert kept == [cycle(7).adj]
+    assert gone
+
+
+def _kept_for(g):
+    """The kept solver if it is g's, else None (the lookup then replaces it)."""
+    misses = _solver_for.cache_info().misses
+    solver = _solver_for(g.adj)
+    return solver if _solver_for.cache_info().misses == misses else None
+
+
+def test_shared_solver_answers_equal_cold_answers():
+    # consecutive calls on equal graphs share the kept solver; each answer
+    # must equal the same call's answer on an evicted solver, and every
+    # entry of the kept memo must stay exact
+    def cold(call, *args):
+        _solver_for.cache_clear()
+        return call(*args)
+
+    def witness(g):
+        w = tree_depth(g)
+        return w.value, w.labeling, w.elimination_forest
+
+    def report(g):
+        return criticality_report(g).to_dict()
+
+    orders = (
+        lambda g, td: [(witness, g), (tree_depth_decision, g, td), (tree_depth_decision, g, td - 1)],
+        lambda g, td: [(tree_depth_decision, g, td - 1), (tree_depth_decision, g, td), (witness, g)],
+        lambda g, td: [(report, g), (witness, g), (tree_depth_decision, g, td),
+                       (tree_depth_decision, g, td - 1), (surplus, g)],
+    )
+    rng = random.Random(83)
+    for n in range(8, 13):
+        for p in (0.35, 0.5, 0.7):
+            g = random_graph(rng, n, p)
+            td = cold(tree_depth, g).value
+            cold_report = cold(report, g)
+            exact = ref_tree_depth_dp(n, g.edges())
+            for order in orders:
+                calls = order(g, td)
+                expected = [cold(call, *args) for call, *args in calls]
+                _solver_for.cache_clear()
+                assert [call(*args) for call, *args in calls] == expected, (g.edges(), expected)
+                kept = _kept_for(g)
+                assert kept is not None
+                for mask, depth in kept.memo.items():
+                    assert depth == exact(frozenset(bits(mask))), (g.edges(), mask)
+            # an equal but distinct graph shares the solver
+            twin = Graph(g.n, list(g.adj))
+            assert twin is not g and tree_depth_decision(twin, td)
+            assert _kept_for(g) is kept
+            # a minor table takes it, with or without the value td(g)
+            assert _MinorTable(g).solver is kept
+            table = _MinorTable(g, td)
+            assert table.solver is kept and _report(table).to_dict() == cold_report
+            # a graph one edge apart gets its own
+            apart = g.delete_edge(*g.edges()[0])
+            assert tree_depth(apart).value == cold(tree_depth, apart).value
+            assert _kept_for(apart) is not kept and _kept_for(apart) is not None
 
 
 def test_budget_cap():

@@ -114,6 +114,29 @@ def spanning_subgraph_gate() -> str:
     return f"critical_spanning_subgraph n<=7, co-C8..co-C16, g4k(2..4): {len(graphs)} graphs {digest.hexdigest()}"
 
 
+def solve_sequence_gate() -> str:
+    """The solve-gnp benchmark's calls on seeded G(n, m) graphs, two at
+    each 10 <= n <= 15 and density .35, .5 and .7: the witness labeling and
+    forest, the decisions at td and td - 1, then the same calls in reverse
+    order, so that later calls meet a solver that earlier calls on the same
+    graph have filled."""
+    rng = random.Random(1015)
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(10, 16):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for p in (0.35, 0.5, 0.7):
+            for _ in range(2):
+                g = tdlab.Graph.from_edges(n, rng.sample(pairs, round(p * len(pairs))))
+                w = tdlab.tree_depth(g)
+                at, below = tdlab.tree_depth_decision(g, w.value), tdlab.tree_depth_decision(g, w.value - 1)
+                back = (tdlab.tree_depth_decision(g, w.value - 1), tdlab.tree_depth_decision(g, w.value),
+                        tdlab.tree_depth(g))
+                digest.update(f"{tdlab.to_graph6(g)} {w} {at} {below} {back}\n".encode())
+                count += 1
+    return f"solve sequence G(n, m) 10<=n<=15: {count} graphs {digest.hexdigest()}"
+
+
 def search_gates() -> list[str]:
     out = []
     for critical, td in SCREENS:
@@ -169,7 +192,8 @@ def code_lines(package: Path) -> int:
 
 
 def main() -> None:
-    graph_gates = [report_gate(), random_report_gate(), family_report_gate(), spanning_subgraph_gate()]
+    graph_gates = [report_gate(), random_report_gate(), family_report_gate(), spanning_subgraph_gate(),
+                   solve_sequence_gate()]
     for line in labeling_gates() + graph_gates + search_gates() + [stream_gate()]:
         print(line)
     print(f"code lines in the tdlab package: {code_lines(Path(tdlab.__file__).parent)}")
