@@ -255,6 +255,7 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error("trailing bytes after graph6 body", 1 + need)
     rows = [0] * n
     pos = 0
+    i, j = 0, 1  # the pair at pos; graph6 order: (0,1), (0,2), (1,2), (0,3), ...
     for k in range(need):
         c = ord(text[1 + k])
         if not 63 <= c <= 126:
@@ -267,27 +268,21 @@ def parse_graph6(line: str) -> Graph:
                     raise Graph6Error("nonzero padding bits", 1 + k)
                 continue
             if bit:
-                i, j = _pair_at(pos)
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             pos += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph(n, rows)
-
-
-def _pair_at(pos: int) -> tuple[int, int]:
-    # graph6 bit order: (0,1), (0,2), (1,2), (0,3), ... column by column
-    j = 1
-    while pos >= j:
-        pos -= j
-        j += 1
-    return pos, j
 
 
 # -- edge-list codec ------------------------------------------------------
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the plain text format: first line ``n m``, then m lines ``u v``."""
+    """Parse the plain text format: first line ``n m``, then m lines ``u v``.
+    The order n is capped as in graph6, before any row is allocated."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list input")
@@ -297,6 +292,8 @@ def parse_edge_list(text: str) -> Graph:
     n, m = int(head[0]), int(head[1])
     if n < 0 or m < 0:
         raise ValueError("edge-list header counts must be non-negative")
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"edge-list order supports n <= {GRAPH6_MAX_N}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []

@@ -48,12 +48,8 @@ holds none, td(S) >= |S| - 1 = 1 + td(S - x), which the scan has already
 reached; if it holds one, td(S) <= |S| - 2 and the scan goes on.
 
 Every memo entry is exact; the early exits only leave some subsets unsolved.
-This one recursion answers every question. tree_depth_decision(g, k) first
-builds a greedy elimination forest: a component of more than ten vertices is
-topped by its vertex of highest degree, and a smaller one is solved exactly,
-so its height bounds td(g) from above (td(S) <= 1 + td(S - v) for every v).
-A height <= k answers yes; otherwise the exact solve on the same solver
-decides.
+This one recursion answers every question; tree_depth_decision(g, k)
+compares its value with k.
 
 The module keeps the solver of the last graph asked, one entry keyed on
 the adjacency rows (_solver_for). tree_depth, tree_depth_decision and every
@@ -108,7 +104,6 @@ from .graphs import Graph, bits, mask_components
 
 MAX_VERTICES = 25  # the one vertex cap; no caller can change it
 T_UNIQUE_MAX_N = 10  # min_t scans the 2^(n-1) subsets of V - v past the flags
-_GREEDY_EXACT_MAX = 10  # greedy forests solve components this small exactly
 
 
 @dataclass(frozen=True)
@@ -389,32 +384,12 @@ def tree_depth(g: Graph) -> TreeDepthWitness:
     return TreeDepthWitness(value, tuple(label), tuple(parent))
 
 
-def _greedy_height(solver: _SubsetSolver, mask: int) -> int:
-    """Height of a greedy elimination forest of the subset, an upper bound
-    on its td: a component of more than _GREEDY_EXACT_MAX vertices is topped
-    by its vertex of highest degree inside it (lowest id on ties) over a
-    greedy forest of the rest; a smaller one is solved exactly."""
-    adj, height = solver.adj, 0
-    for comp in mask_components(adj, mask):
-        if comp.bit_count() <= _GREEDY_EXACT_MAX:
-            depth = solver.td(comp)
-        else:
-            top = max(bits(comp), key=lambda v: ((adj[v] & comp).bit_count(), -v))
-            depth = 1 + _greedy_height(solver, comp ^ (1 << top))
-        height = max(height, depth)
-    return height
-
-
 def tree_depth_decision(g: Graph, k: int) -> bool:
-    """Is td(g) <= k? Yes at once if a greedy elimination forest has height
-    <= k; otherwise the exact solve that tree_depth runs decides, on the
-    same solver, so the components the greedy pass solved stay solved.
-    The solver comes from _solver_for, so after tree_depth(g) the exact
-    solve is a memo hit."""
+    """Is td(g) <= k? The exact solve decides, on the solver from
+    _solver_for."""
     if k < 0:
         raise ValueError("cutoff must be non-negative")
-    solver, full = _solver_for(g.adj), g.full_mask()
-    return _greedy_height(solver, full) <= k or solver.td(full) <= k
+    return _solver_for(g.adj).td(g.full_mask()) <= k
 
 
 def surplus(g: Graph) -> int:

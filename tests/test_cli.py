@@ -74,6 +74,13 @@ def test_td_budget_exceeded(capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_td_edge_list_over_order_cap(capsys, monkeypatch):
+    # the header is refused before a row is allocated, so a huge order
+    # gives the usual error line, not an uncaught MemoryError
+    code, out, err = run(capsys, ["td"], stdin="1000000000 0\n", monkeypatch=monkeypatch)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_td_bad_graph6(capsys, tmp_path):
     f = tmp_path / "bad.g6"
     f.write_text("D?\n")

@@ -20,7 +20,7 @@ from tdlab import (
     to_edge_list,
     to_graph6,
 )
-from tdlab.graphs import mask_components
+from tdlab.graphs import GRAPH6_MAX_N, mask_components
 
 from oracles import (
     disjoint_union,
@@ -219,6 +219,13 @@ def test_edge_list_round_trip():
         parse_edge_list("3 2\n0 1\n")  # edge count mismatch
     with pytest.raises(ValueError):
         parse_edge_list("")
+
+
+def test_edge_list_order_is_capped_before_allocation():
+    assert parse_edge_list(f"{GRAPH6_MAX_N} 0\n") == Graph(GRAPH6_MAX_N)
+    for header in (f"{GRAPH6_MAX_N + 1} 0\n", "1000000000 0\n"):
+        with pytest.raises(ValueError, match="n <= 62"):
+            parse_edge_list(header)
 
 
 # canonical form

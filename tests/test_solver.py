@@ -28,7 +28,7 @@ from tdlab import (
 from tdlab.criticality import _report
 from tdlab.graphs import bits
 from tdlab import solver as solver_module
-from tdlab.solver import MAX_VERTICES, _greedy_height, _MinorTable, _no_f1_through, _solver_for, _SubsetSolver
+from tdlab.solver import MAX_VERTICES, _MinorTable, _no_f1_through, _solver_for, _SubsetSolver
 
 from oracles import (
     disjoint_union,
@@ -239,28 +239,20 @@ def test_decision_brackets_value_at_larger_n():
             assert not tree_depth_decision(g, value - 1)
 
 
-def _greedy_sized_graphs():
-    # n > 10, so the greedy pass tops components with a vertex before it
-    # solves them exactly
+def _decision_graphs():
+    # n = 11..17, large enough that a cold decision solves many subsets
     rng = random.Random(37)
     return [random_graph(rng, n, p) for n in range(11, 18) for p in (0.3, 0.5, 0.7)]
 
 
 def test_decision_matches_value_past_the_greedy_threshold():
-    # from the top down, so the greedy answers come first and the first k
-    # below the greedy height runs a cold exact solve: the kept solver of
-    # tree_depth(g) is evicted before the decisions
-    for g in _greedy_sized_graphs():
+    # every k from the top down, on a solver evicted after tree_depth(g):
+    # the first decision solves g cold and the later ones read its memo
+    for g in _decision_graphs():
         td = tree_depth(g).value
         _solver_for.cache_clear()
         for k in range(g.n + 1, -1, -1):
             assert tree_depth_decision(g, k) == (td <= k), (g.edges(), k)
-
-
-def test_greedy_height_bounds_td_from_above():
-    for g in _greedy_sized_graphs():
-        height = _greedy_height(_SubsetSolver(g.adj), g.full_mask())
-        assert height >= tree_depth(g).value, g.edges()
 
 
 def test_memo_after_greedy_then_exact_matches_shortcut_free_recursion():
@@ -271,8 +263,7 @@ def test_memo_after_greedy_then_exact_matches_shortcut_free_recursion():
                 g = random_graph(rng, n, p)
                 td = ref_tree_depth_dp(g.n, g.edges())
                 solver = _SubsetSolver(g.adj)
-                height = _greedy_height(solver, g.full_mask())
-                assert height >= solver.td(g.full_mask()) == td(frozenset(range(n)))
+                assert solver.td(g.full_mask()) == td(frozenset(range(n)))
                 for mask, depth in solver.memo.items():
                     assert depth == td(frozenset(bits(mask))), (g.edges(), mask)
 
