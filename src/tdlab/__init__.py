@@ -40,6 +40,7 @@ from .graphs import (
     to_graph6,
 )
 from .labelings import (
+    FeasibilityCheck,
     IrreducibleCore,
     feasible_labelings,
     format_labeling,
@@ -48,6 +49,7 @@ from .labelings import (
     parse_labeling,
     reduce_labeling,
     standard_labeling_andrasfai,
+    verify_feasible,
 )
 from .search import (
     SearchCounters,
@@ -57,13 +59,11 @@ from .search import (
     run_search,
 )
 from .solver import (
-    FeasibilityCheck,
     MAX_VERTICES,
     TreeDepthWitness,
     surplus,
     tree_depth,
     tree_depth_decision,
-    verify_feasible,
 )
 from .verify import CriterionResult, run_criterion, verify_paper
 

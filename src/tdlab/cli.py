@@ -22,10 +22,10 @@ import sys
 from .criticality import criticality_report
 from .errors import BudgetError, Graph6Error
 from .families import FAMILIES, PATTERNS, pattern
-from .graphs import Graph, parse_edge_list, parse_graph6, to_graph6
-from .labelings import format_labeling, parse_labeling
+from .graphs import GRAPH6_MAX_N, Graph, parse_edge_list, parse_graph6, to_graph6
+from .labelings import format_labeling, parse_labeling, verify_feasible
 from .search import ENUM_MAX_N, SearchJob, _graph6_lines, run_search
-from .solver import MAX_VERTICES, tree_depth, verify_feasible
+from .solver import MAX_VERTICES, tree_depth
 from .verify import verify_paper
 
 
@@ -117,6 +117,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
             param = int(args.param)
         except ValueError:
             raise UsageError(f"family {args.name} needs an integer parameter") from None
+        # every member has at least param vertices, so this refuses before building
+        if param > GRAPH6_MAX_N:
+            raise ValueError(f"family {args.name} {param} has over {GRAPH6_MAX_N} vertices, graph6's limit")
         g = FAMILIES[args.name](param)
     if args.json:
         print(json.dumps({"graph6": to_graph6(g), "n": g.n, "edges": g.edge_count()}))

@@ -9,8 +9,8 @@ contraction on the way there already did.
 
 Each single-step minor h of g has td(g) - 1 <= td(h) <= td(g), so its depth
 drop is 0 or 1. The minor table settles it with one exact solve of h that
-starts from the floor td(g) - 1 and reuses g's memo (see the solver
-module). The upper bound is minor-monotonicity. The lower bound, in
+starts from the floor td(g) - 1 and reuses g's memo (_MinorSolver in the
+solver module). The upper bound is minor-monotonicity. The lower bound, in
 elimination forests (every edge joins an ancestor and a descendant; depth =
 number of levels):
 
@@ -63,10 +63,155 @@ g - L - v is a subgraph of elim(g, L + v).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import Any, Iterator, Sequence
 
-from .graphs import Graph
-from .solver import _MinorTable
+from .graphs import Graph, bits, mask_components
+from .solver import _MinorSolver, _solver_for
+
+T_UNIQUE_MAX_N = 10  # min_t scans the 2^(n-1) subsets of V - v past the flags
+
+
+class _MinorTable:
+    """Depth drops of the single-step minors of g, its 1-unique flags and
+    its vertices' min_t, as lazy stages. A minor or star-clique transform h
+    has td(h) >= td(g) - 1 (module docstring), so it drops the depth iff
+    its exact depth is below td(g); every exact solve can stop at that
+    floor.
+
+    Vertex deletions are exact depths on the parent solver of g. Each edge
+    deletion, contraction and elimination runs one _MinorSolver on top of
+    it, so the subsets that h shares with g are solved once, in the parent.
+    The star-clique flags are solved once per table and settle every
+    contraction at a 1-unique vertex: G/uv is a subgraph of the transform at
+    u and at v. The parent solver comes from _solver_for. ``value``, when
+    given, must be td(g): it seeds that shared memo.
+    """
+
+    def __init__(self, g: Graph, value: int | None = None):
+        self.g, self.full, self.solver = g, g.full_mask(), _solver_for(g.adj)
+        if value is None:
+            if g.n == 0:
+                raise ValueError("criticality is defined for nonempty graphs")
+            value = self.solver.td(self.full)
+        self.value = self.solver.memo[self.full] = value
+        self._flags: tuple[bool, ...] | None = None
+
+    def _depth(self, adj: Sequence[int], dropped: int = 0) -> int:
+        return _MinorSolver(self.solver, adj, dropped).td(self.full ^ dropped)
+
+    def edge_drops(self, u: int, v: int) -> bool:
+        """Does deleting the edge uv lower td?"""
+        rows = list(self.g.adj)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        return self._depth(rows) < self.value
+
+    def edge_deletions(self) -> Iterator[tuple[int, int, int]]:
+        for u, v in self.g.edges():
+            yield u, v, int(self.edge_drops(u, v))
+
+    def vertex_deletions(self) -> Iterator[int]:
+        for v in range(self.g.n):
+            yield int(self.solver.td(self.full ^ (1 << v)) < self.value)
+
+    def contractions(self) -> Iterator[tuple[int, int, int]]:
+        """u keeps the merged vertex and v is dropped; an edge at a 1-unique
+        vertex drops the depth without a solve."""
+        adj, flags = self.g.adj, self.one_unique()
+        for u, v in self.g.edges():
+            rows = list(adj)
+            rows[u] = (adj[u] | adj[v]) & ~(1 << u | 1 << v)
+            for w in bits(rows[u]):
+                rows[w] |= 1 << u
+            yield u, v, int(flags[u] or flags[v] or self._depth(rows, 1 << v) < self.value)
+
+    def one_unique(self) -> tuple[bool, ...]:
+        """The 1-unique flag of every vertex, solved on the first call: does
+        the star-clique transform at v lower td?"""
+        if self._flags is None:
+            self._flags = tuple(self._eliminated(1 << v) < self.value for v in range(self.g.n))
+        return self._flags
+
+    def _eliminated(self, s: int) -> int:
+        """td of elim(g, s), the graph on V - s that joins two vertices when
+        a path between them runs inside s."""
+        adj = self.g.adj
+        rows = list(adj)
+        for comp in mask_components(adj, s):
+            rim = 0
+            for w in bits(comp):
+                rim |= adj[w]
+            rim &= ~s
+            for w in bits(rim):
+                rows[w] |= rim ^ 1 << w
+        return self._depth(rows, s)
+
+    def min_t(self, v: int) -> int | None:
+        """Least t at which some optimal labeling gives v, and no other
+        vertex, the label t; None if there is none (module docstring). 1 at
+        a 1-unique flag. Elsewhere v is t-unique iff some nonempty L, a
+        subset of V - v with td(g[L]) = t - 1, has
+        td(elim(g, L + v)) <= td(g) - t; L is skipped without a solve when
+        already td(g - L - v), a subgraph of that elimination, is too deep.
+        Past T_UNIQUE_MAX_N vertices, where the 2^(n-1) subsets L are too
+        many to scan, such a v reads None as well.
+        """
+        if self.one_unique()[v]:
+            return 1
+        if self.g.n > T_UNIQUE_MAX_N:
+            return None
+        td, bit = self.solver.td, 1 << v
+        rest = sub = self.full ^ bit
+        candidates = []
+        while sub:
+            depth = td(sub)
+            if depth + td(rest ^ sub) < self.value:
+                candidates.append((depth, sub))
+            sub = (sub - 1) & rest
+        for depth, sub in sorted(candidates):
+            if depth + self._eliminated(sub | bit) < self.value:
+                return depth + 1
+        return None
+
+    def minor_critical(self) -> bool:
+        """Edge, then vertex, then contraction stage, stopping at the first
+        minor that keeps the depth. The contraction stage first solves the
+        1-unique flags, which the caller can then read from the table, and
+        solves only the edges that the flags do not settle."""
+        return (
+            all(d for _, _, d in self.edge_deletions())
+            and all(self.vertex_deletions())
+            and all(d for _, _, d in self.contractions())
+        )
+
+    def report(self) -> CriticalityReport:
+        """The report of the table's graph, from every stage of the table."""
+        g, value = self.g, self.value
+        edge_deltas = tuple(self.edge_deletions())
+        contraction_deltas = tuple(self.contractions())
+        vertex_deltas = tuple(self.vertex_deletions())
+        ou = self.one_unique()
+        sub_critical = all(d for _, _, d in edge_deltas)
+        ind_critical = all(vertex_deltas)
+        minor_critical = sub_critical and ind_critical and all(d for _, _, d in contraction_deltas)
+        return CriticalityReport(
+            td=value,
+            surplus=g.n - value,
+            edge_deletion_deltas=edge_deltas,
+            contraction_deltas=contraction_deltas,
+            vertex_deletion_deltas=vertex_deltas,
+            one_unique=ou,
+            min_t=tuple(map(self.min_t, range(g.n))),
+            is_minor_critical=minor_critical,
+            is_subgraph_critical=sub_critical,
+            is_induced_subgraph_critical=ind_critical,
+            is_one_unique_graph=all(ou),
+            conjecture_checks={
+                "order": g.n <= 2 ** (value - 1),
+                "maxdeg": g.max_degree() <= value - 1,
+            },
+        )
+
 
 
 def is_one_unique(g: Graph) -> bool:
@@ -79,19 +224,7 @@ def is_minor_critical(g: Graph) -> bool:
     strictly lowers tree-depth. A contraction at a 1-unique vertex lowers it
     by the module docstring's argument, so only the other contractions are
     solved."""
-    return _minor_critical(_MinorTable(g))
-
-
-def _minor_critical(table: _MinorTable) -> bool:
-    """Edge, then vertex, then contraction stage, stopping at the first minor
-    that keeps the depth. The contraction stage first solves the table's
-    1-unique flags, which the caller can then read from the table, and
-    solves only the edges that the flags do not settle."""
-    return (
-        all(d for _, _, d in table.edge_deletions())
-        and all(table.vertex_deletions())
-        and all(d for _, _, d in table.contractions())
-    )
+    return _MinorTable(g).minor_critical()
 
 
 def critical_spanning_subgraph(g: Graph) -> Graph:
@@ -121,7 +254,7 @@ class CriticalityReport:
     Deltas are td(g) minus the depth after the operation. min_t is 1
     exactly at the one_unique flags. Any other entry is the least t at
     which an optimal labeling gives the vertex a unique label, or None when
-    no t does or when n > solver.T_UNIQUE_MAX_N. The criticality booleans and
+    no t does or when n > T_UNIQUE_MAX_N. The criticality booleans and
     one_unique flags are always exact.
     conjecture_checks: "order" is n <= 2^(td-1), "maxdeg" is
     max degree <= td - 1.
@@ -148,33 +281,4 @@ class CriticalityReport:
 def criticality_report(g: Graph) -> CriticalityReport:
     """Every answer about g from one minor table; ValueError on the empty
     graph."""
-    return _report(_MinorTable(g))
-
-
-def _report(table: _MinorTable) -> CriticalityReport:
-    """The report of the table's graph, from every stage of the table."""
-    g, value = table.g, table.value
-    edge_deltas = tuple(table.edge_deletions())
-    contraction_deltas = tuple(table.contractions())
-    vertex_deltas = tuple(table.vertex_deletions())
-    ou = table.one_unique()
-    sub_critical = all(d for _, _, d in edge_deltas)
-    ind_critical = all(vertex_deltas)
-    minor_critical = sub_critical and ind_critical and all(d for _, _, d in contraction_deltas)
-    return CriticalityReport(
-        td=value,
-        surplus=g.n - value,
-        edge_deletion_deltas=edge_deltas,
-        contraction_deltas=contraction_deltas,
-        vertex_deletion_deltas=vertex_deltas,
-        one_unique=ou,
-        min_t=tuple(map(table.min_t, range(g.n))),
-        is_minor_critical=minor_critical,
-        is_subgraph_critical=sub_critical,
-        is_induced_subgraph_critical=ind_critical,
-        is_one_unique_graph=all(ou),
-        conjecture_checks={
-            "order": g.n <= 2 ** (value - 1),
-            "maxdeg": g.max_degree() <= value - 1,
-        },
-    )
+    return _MinorTable(g).report()

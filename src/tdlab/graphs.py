@@ -133,14 +133,7 @@ class Graph:
         """Remove v; vertices above v shift down by one."""
         if not 0 <= v < self.n:
             raise ValueError(f"no vertex {v}")
-        low = (1 << v) - 1
-        rows = []
-        for u in range(self.n):
-            if u == v:
-                continue
-            row = self.adj[u]
-            rows.append((row & low) | ((row >> (v + 1)) << v))
-        return Graph(self.n - 1, rows)
+        return self.induced_subgraph(w for w in range(self.n) if w != v)
 
     def contract_edge(self, u: int, v: int) -> "Graph":
         """Merge the endpoints of edge (u, v) into the smaller endpoint's slot."""
@@ -148,13 +141,9 @@ class Graph:
             raise ValueError(f"no edge ({u}, {v}) to contract")
         u, v = min(u, v), max(u, v)
         rows = list(self.adj)
-        merged = (rows[u] | rows[v]) & ~(1 << u) & ~(1 << v)
-        rows[u] = merged
-        for w in bits(merged):
+        for w in bits(rows[v] & ~(1 << u)):
+            rows[u] |= 1 << w
             rows[w] |= 1 << u
-        rows[v] = 0
-        for w in range(self.n):
-            rows[w] &= ~(1 << v)
         return Graph(self.n, rows).delete_vertex(v)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":

@@ -1,29 +1,95 @@
-"""Labeling transforms and exhaustive labeling search.
+"""Feasible labelings: the path condition, labeling transforms and
+exhaustive labeling search.
 
 A labeling assigns a positive integer to every vertex; it is feasible when
 every path between two vertices with equal labels passes through a higher
-label. "Optimal" here means feasible with maximum label at most td(g): the
-largest allowed label is td(g) even if not every value in 1..td(g) is used.
+label. Equivalently, for every label c, no component of the subgraph
+induced by the labels <= c holds two vertices labeled c: a path between
+two of them inside that subgraph meets no higher label, and a path that
+leaves it does. "Optimal" here means feasible with maximum label at most
+td(g): the largest allowed label is td(g) even if not every value in
+1..td(g) is used.
+
+_first_repeat checks that condition on label classes given as bitmasks,
+in ascending label order; verify_feasible and feasible_labelings both call
+it. Its ``level`` argument holds the vertices of the lower labels whose
+classes a caller has already checked: they count towards every level
+subgraph, but their classes are not checked again.
 
 feasible_labelings labels the vertices in id order and keeps one bitmask
-per label class. After each assignment it runs the solver's path-condition
-check, the one behind verify_feasible, on the labeled prefix, and prunes
-the prefix if a class repeats. The pruning is exact: the prefix was
-feasible before its last vertex was labeled, so a repeat involves that
-vertex, and labeling more vertices only grows the level subgraphs, which
-never splits the component that holds the repeat. For the same reason the
-check starts at the level of the label just assigned: every level below it
-holds the same vertices as at the last check, which passed.
+per label class. After each assignment it runs _first_repeat on the
+labeled prefix, and prunes the prefix if a class repeats. The pruning is
+exact: the prefix was feasible before its last vertex was labeled, so a
+repeat involves that vertex, and labeling more vertices only grows the
+level subgraphs, which never splits the component that holds the repeat.
+For the same reason the check starts at the level of the label just
+assigned: every level below it holds the same vertices as at the last
+check, which passed, and goes in as ``level``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph
-from .solver import _first_repeat, tree_depth, verify_feasible
+from .graphs import Graph, mask_components
+from .solver import tree_depth
+
+
+@dataclass(frozen=True)
+class FeasibilityCheck:
+    feasible: bool
+    violation: tuple[int, int, int] | None = None  # (label, u, v)
+
+    def __bool__(self) -> bool:
+        return self.feasible
+
+
+def verify_feasible(g: Graph, labels) -> FeasibilityCheck:
+    """Check the path condition: for every label c, no component of the
+    subgraph induced by labels <= c contains two vertices labeled exactly c.
+
+    The reported violation is the first in deterministic order: ascending
+    label, then components by smallest vertex, then the two smallest
+    offending vertices.
+    """
+    labels = tuple(labels)
+    if len(labels) != g.n:
+        raise ValueError(f"labeling length {len(labels)} != n {g.n}")
+    if any(c < 1 for c in labels):
+        raise ValueError("labels must be positive integers")
+    classes: dict[int, int] = {}
+    for v, c in enumerate(labels):
+        classes[c] = classes.get(c, 0) | 1 << v
+    repeat = _first_repeat(g.adj, sorted(classes.items()))
+    if repeat is None:
+        return FeasibilityCheck(True)
+    c, hits = repeat
+    low = hits & -hits
+    rest = hits ^ low
+    return FeasibilityCheck(False, (c, low.bit_length() - 1, (rest & -rest).bit_length() - 1))
+
+
+def _first_repeat(
+    adj: Sequence[int], classes: Iterable[tuple[int, int]], level: int = 0
+) -> tuple[int, int] | None:
+    """The path condition on label classes, given as (label, mask) pairs in
+    ascending label order: the first (label, hits) where one component of
+    the vertices labeled at most label holds the two or more vertices
+    ``hits`` of that label's class, components taken by smallest vertex;
+    None if no class repeats. Vertices in no class count as unlabeled, but
+    ``level`` holds those of lower labels whose classes were checked
+    before."""
+    for c, cls in classes:
+        level |= cls
+        if not cls & (cls - 1):
+            continue  # a lone vertex labeled c cannot repeat
+        for comp in mask_components(adj, level):
+            hits = comp & cls
+            if hits & (hits - 1):
+                return c, hits
+    return None
 
 
 def parse_labeling(text: str) -> tuple[int, ...]:

@@ -21,10 +21,10 @@ from itertools import chain, islice
 from multiprocessing import Pool
 from typing import Any, Iterable, Iterator
 
-from .criticality import CriticalityReport, _minor_critical, _report
+from .criticality import CriticalityReport, _MinorTable
 from .errors import BudgetError
 from .graphs import CANONICAL_MAX_N, Graph, canonical_form, parse_graph6
-from .solver import MAX_VERTICES, _MinorTable
+from .solver import MAX_VERTICES
 
 ENUM_MAX_N = 7
 # Lines per pool task: enough that the parent's share of pickling and
@@ -155,7 +155,7 @@ def _screen_one(job: SearchJob, g6: str) -> _Screened:
     if table.value != job.td_target:
         return counts, None
     counts.append("graphs_at_target_td")
-    if job.critical and not _minor_critical(table):
+    if job.critical and not table.minor_critical():
         return counts, None
     if job.non_one_unique and all(table.one_unique()):
         # dropped by the 1-uniqueness filter: under job.critical, a critical
@@ -163,7 +163,7 @@ def _screen_one(job: SearchJob, g6: str) -> _Screened:
         if job.critical:
             counts.append("critical_count")
         return counts, None
-    report = _report(table)
+    report = table.report()
     if report.is_minor_critical:
         counts.append("critical_count")
         if not report.is_one_unique_graph:

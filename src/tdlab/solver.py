@@ -52,32 +52,32 @@ This one recursion answers every question; tree_depth_decision(g, k)
 compares its value with k.
 
 The module keeps the solver of the last graph asked, one entry keyed on
-the adjacency rows (_solver_for). tree_depth, tree_depth_decision and every
-minor table take their solver from it, so tree_depth(g) followed by
-tree_depth_decision(g, td - 1) solves g once; a minor table given td(g)
-writes it into that shared memo. At rest one graph's memo stays alive. A
-new graph's solver is made empty and the kept one is dropped before the
-new memo grows, so unless a caller still holds the old solver the peak is
-one graph's memo. Every memo entry is exact whoever writes it, so threads
-that share the kept solver, or replace it while another still holds the
-old one, get exact answers.
+the adjacency rows (_solver_for). tree_depth, tree_depth_decision and the
+criticality module's minor tables take their solver from it, so
+tree_depth(g) followed by tree_depth_decision(g, td - 1) solves g once; a
+minor table given td(g) writes it into that shared memo. At rest one
+graph's memo stays alive. A new graph's solver is made empty and the kept
+one is dropped before the new memo grows, so unless a caller still holds
+the old solver the peak is one graph's memo. Every memo entry is exact
+whoever writes it, so threads that share the kept solver, or replace it
+while another still holds the old one, get exact answers.
 
-The minor table runs the recursion on each single-step minor h of g that
-its 1-unique flags do not settle, and on each elimination elim(g, D): the
-graph on V - D in which x and y are adjacent when some path joins them
-whose inner vertices all lie in D (the neighbourhood of each component of
-g[D] becomes a clique, then D is deleted). h stays in g's vertex numbering
-with its dropped set D (empty for an edge deletion, the merged-away vertex
-for a contraction) out of every mask. A subset S that h and g induce alike
-is solved by g's solver. Any other S starts its scan with
-hi = td_g(S + D) - max(1, td_g(D)) in place of 0, when g's memo holds
-td_g(S + D); then the scan stops as soon as 1 + min td_h(S - x) reaches it.
-The floor holds because td(h[S]) >= td(g[S + D]) - max(1, td(g[D])):
+_MinorSolver runs the recursion on a graph h made from g by one
+operation: an edge deletion, an edge contraction, or an elimination
+elim(g, D), the graph on V - D in which x and y are adjacent when some
+path joins them whose inner vertices all lie in D (the neighbourhood of
+each component of g[D] becomes a clique, then D is deleted). h stays in
+g's vertex numbering with its dropped set D (empty for an edge deletion,
+the merged-away vertex for a contraction) out of every mask. A subset S
+that h and g induce alike is solved by g's solver. Any other S starts its
+scan with hi = td_g(S + D) - max(1, td_g(D)) in place of 0, when g's memo
+holds td_g(S + D); then the scan stops as soon as 1 + min td_h(S - x)
+reaches it. The floor holds because td(h[S]) >= td(g[S + D]) -
+max(1, td(g[D])):
 
-* h[S] = g[S] - uv: u as a new root over a forest of g[S] - u, a subgraph
-  of h[S], gives a forest of g[S];
-* h[S] = g[S + v]/uv: split the merged vertex of a forest of h[S] into a
-  two-vertex chain (proof in the criticality module);
+* h[S] = g[S] - uv and h[S] = g[S + v]/uv are single-step minors of g[S]
+  and g[S + v], at most one level shallower (proof in the criticality
+  module);
 * h[S] = elim(g, D)[S], which is elim(g[S + D], D): label g[D] with
   1..td(g[D]) and h[S] above those labels. A path of g[S + D] between two
   equal labels in D leaves D only through higher labels. A path between
@@ -97,13 +97,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import BudgetError
 from .graphs import Graph, bits, mask_components
 
 MAX_VERTICES = 25  # the one vertex cap; no caller can change it
-T_UNIQUE_MAX_N = 10  # min_t scans the 2^(n-1) subsets of V - v past the flags
 
 
 @dataclass(frozen=True)
@@ -113,19 +112,10 @@ class TreeDepthWitness:
     elimination_forest: tuple[int, ...]  # parent vertex per vertex, -1 for roots
 
 
-@dataclass(frozen=True)
-class FeasibilityCheck:
-    feasible: bool
-    violation: tuple[int, int, int] | None = None  # (label, u, v)
-
-    def __bool__(self) -> bool:
-        return self.feasible
-
-
 class _SubsetSolver:
     """Memoized exact tree-depth over vertex subsets of one graph, given by
-    its adjacency rows. Callers take it from _solver_for; a minor table's
-    minor solvers share its instance.
+    its adjacency rows. Callers take it from _solver_for; the minor solvers
+    of a criticality minor table share its instance.
     """
 
     def __init__(self, adj: Sequence[int]):
@@ -249,109 +239,6 @@ class _MinorSolver(_SubsetSolver):
         return super()._td_connected(mask, hi if known is None else known - self.slack)
 
 
-class _MinorTable:
-    """Depth drops of the single-step minors of g, its 1-unique flags and
-    its vertices' min_t, as lazy stages. A minor or star-clique transform h
-    has td(h) >= td(g) - 1 (proof in the criticality module), so it drops
-    the depth iff its exact depth is below td(g); every exact solve can stop
-    at that floor.
-
-    Vertex deletions are exact depths on the parent solver of g. Each edge
-    deletion, contraction and elimination runs one _MinorSolver on top of
-    it, so the subsets that h shares with g are solved once, in the parent.
-    The star-clique flags are solved once per table and settle every
-    contraction at a 1-unique vertex: G/uv is a subgraph of the transform at
-    u and at v. The parent solver comes from _solver_for. ``value``, when
-    given, must be td(g): it seeds that shared memo.
-    """
-
-    def __init__(self, g: Graph, value: int | None = None):
-        self.g, self.full, self.solver = g, g.full_mask(), _solver_for(g.adj)
-        if value is None:
-            if g.n == 0:
-                raise ValueError("criticality is defined for nonempty graphs")
-            value = self.solver.td(self.full)
-        self.value = self.solver.memo[self.full] = value
-        self._flags: tuple[bool, ...] | None = None
-
-    def _depth(self, adj: Sequence[int], dropped: int = 0) -> int:
-        return _MinorSolver(self.solver, adj, dropped).td(self.full ^ dropped)
-
-    def edge_drops(self, u: int, v: int) -> bool:
-        """Does deleting the edge uv lower td?"""
-        rows = list(self.g.adj)
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        return self._depth(rows) < self.value
-
-    def edge_deletions(self) -> Iterator[tuple[int, int, int]]:
-        for u, v in self.g.edges():
-            yield u, v, int(self.edge_drops(u, v))
-
-    def vertex_deletions(self) -> Iterator[int]:
-        for v in range(self.g.n):
-            yield int(self.solver.td(self.full ^ (1 << v)) < self.value)
-
-    def contractions(self) -> Iterator[tuple[int, int, int]]:
-        """u keeps the merged vertex and v is dropped; an edge at a 1-unique
-        vertex drops the depth without a solve."""
-        adj, flags = self.g.adj, self.one_unique()
-        for u, v in self.g.edges():
-            rows = list(adj)
-            rows[u] = (adj[u] | adj[v]) & ~(1 << u | 1 << v)
-            for w in bits(rows[u]):
-                rows[w] |= 1 << u
-            yield u, v, int(flags[u] or flags[v] or self._depth(rows, 1 << v) < self.value)
-
-    def one_unique(self) -> tuple[bool, ...]:
-        """The 1-unique flag of every vertex, solved on the first call: does
-        the star-clique transform at v lower td?"""
-        if self._flags is None:
-            self._flags = tuple(self._eliminated(1 << v) < self.value for v in range(self.g.n))
-        return self._flags
-
-    def _eliminated(self, s: int) -> int:
-        """td of elim(g, s), the graph on V - s that joins two vertices when
-        a path between them runs inside s."""
-        adj = self.g.adj
-        rows = list(adj)
-        for comp in mask_components(adj, s):
-            rim = 0
-            for w in bits(comp):
-                rim |= adj[w]
-            rim &= ~s
-            for w in bits(rim):
-                rows[w] |= rim ^ 1 << w
-        return self._depth(rows, s)
-
-    def min_t(self, v: int) -> int | None:
-        """Least t at which some optimal labeling gives v, and no other
-        vertex, the label t; None if there is none (criticality module
-        docstring). 1 at a 1-unique flag. Elsewhere v is t-unique iff some
-        nonempty L, a subset of V - v with td(g[L]) = t - 1, has
-        td(elim(g, L + v)) <= td(g) - t; L is skipped without a solve when
-        already td(g - L - v), a subgraph of that elimination, is too deep.
-        Past T_UNIQUE_MAX_N vertices, where the 2^(n-1) subsets L are too
-        many to scan, such a v reads None as well.
-        """
-        if self.one_unique()[v]:
-            return 1
-        if self.g.n > T_UNIQUE_MAX_N:
-            return None
-        td, bit = self.solver.td, 1 << v
-        rest = sub = self.full ^ bit
-        candidates = []
-        while sub:
-            depth = td(sub)
-            if depth + td(rest ^ sub) < self.value:
-                candidates.append((depth, sub))
-            sub = (sub - 1) & rest
-        for depth, sub in sorted(candidates):
-            if depth + self._eliminated(sub | bit) < self.value:
-                return depth + 1
-        return None
-
-
 @functools.lru_cache(maxsize=1)
 def _solver_for(adj: tuple[int, ...]) -> _SubsetSolver:
     """The solver of the graph with these adjacency rows, kept until a
@@ -395,49 +282,3 @@ def tree_depth_decision(g: Graph, k: int) -> bool:
 def surplus(g: Graph) -> int:
     """n(g) - td(g); hereditary and monotone under induced subgraphs."""
     return g.n - tree_depth(g).value
-
-
-def verify_feasible(g: Graph, labels) -> FeasibilityCheck:
-    """Check the path condition: for every label c, no component of the
-    subgraph induced by labels <= c contains two vertices labeled exactly c.
-
-    The reported violation is the first in deterministic order: ascending
-    label, then components by smallest vertex, then the two smallest
-    offending vertices.
-    """
-    labels = tuple(labels)
-    if len(labels) != g.n:
-        raise ValueError(f"labeling length {len(labels)} != n {g.n}")
-    if any(c < 1 for c in labels):
-        raise ValueError("labels must be positive integers")
-    classes: dict[int, int] = {}
-    for v, c in enumerate(labels):
-        classes[c] = classes.get(c, 0) | 1 << v
-    repeat = _first_repeat(g.adj, sorted(classes.items()))
-    if repeat is None:
-        return FeasibilityCheck(True)
-    c, hits = repeat
-    low = hits & -hits
-    rest = hits ^ low
-    return FeasibilityCheck(False, (c, low.bit_length() - 1, (rest & -rest).bit_length() - 1))
-
-
-def _first_repeat(
-    adj: Sequence[int], classes: Iterable[tuple[int, int]], level: int = 0
-) -> tuple[int, int] | None:
-    """The path condition on label classes, given as (label, mask) pairs in
-    ascending label order: the first (label, hits) where one component of
-    the vertices labeled at most label holds the two or more vertices
-    ``hits`` of that label's class, components taken by smallest vertex;
-    None if no class repeats. Vertices in no class count as unlabeled, but
-    ``level`` holds those of lower labels whose classes were checked
-    before."""
-    for c, cls in classes:
-        level |= cls
-        if not cls & (cls - 1):
-            continue  # a lone vertex labeled c cannot repeat
-        for comp in mask_components(adj, level):
-            hits = comp & cls
-            if hits & (hits - 1):
-                return c, hits
-    return None

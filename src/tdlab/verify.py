@@ -32,9 +32,9 @@ from .families import (
     k_net,
 )
 from .graphs import Graph, canonical_form, to_graph6
-from .labelings import feasible_labelings, irreducible_core, is_reduced, reduce_labeling
+from .labelings import feasible_labelings, irreducible_core, is_reduced, reduce_labeling, verify_feasible
 from .search import SearchJob, enumerate_graphs, run_search
-from .solver import surplus, tree_depth, verify_feasible
+from .solver import surplus, tree_depth
 
 
 @dataclass(frozen=True)

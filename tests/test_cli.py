@@ -4,8 +4,10 @@ import json
 import pytest
 
 from tdlab import (
+    FAMILIES,
     MAX_VERTICES,
     canonical_form,
+    complete,
     cycle,
     h_graph,
     parse_graph6,
@@ -14,6 +16,7 @@ from tdlab import (
     to_graph6,
 )
 from tdlab.cli import main
+from tdlab.graphs import GRAPH6_MAX_N
 
 OVER_CAP = to_graph6(path(MAX_VERTICES + 1)) + "\n"
 
@@ -173,6 +176,19 @@ def test_family_errors(capsys):
     assert code == 1
     with pytest.raises(SystemExit):
         main(["family", "petersen", "1"])  # argparse rejects unknown names
+
+
+def test_family_parameter_past_graph6_order_fails_before_building(capsys, monkeypatch):
+    # every member has at least its parameter's number of vertices, so a
+    # parameter above GRAPH6_MAX_N is refused without calling the builder
+    def boom(k):
+        raise AssertionError(f"builder called with {k}")
+
+    monkeypatch.setitem(FAMILIES, "path", boom)
+    code, out, err = run(capsys, ["family", "path", "100000000"])
+    assert code == 1 and out == "" and err.startswith("error:")
+    code, out, _ = run(capsys, ["family", "complete", str(GRAPH6_MAX_N)])
+    assert code == 0 and out.strip() == to_graph6(complete(GRAPH6_MAX_N))
 
 
 def test_search_stdout(capsys):

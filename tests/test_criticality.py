@@ -23,9 +23,9 @@ from tdlab import (
     tree_depth,
     tree_depth_decision,
 )
-from tdlab import solver as solver_module
 from tdlab import criticality as criticality_module
-from tdlab.solver import _MinorTable, _solver_for
+from tdlab.criticality import _MinorTable
+from tdlab.solver import _solver_for
 from tdlab.verify import _direct_min_t
 
 from oracles import disjoint_union
@@ -121,12 +121,12 @@ def test_settled_contractions_match_exact_solves_n7():
 def test_contraction_stage_solves_only_unsettled_edges(monkeypatch):
     made = []
 
-    class Recording(solver_module._MinorSolver):
+    class Recording(criticality_module._MinorSolver):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
-    monkeypatch.setattr(solver_module, "_MinorSolver", Recording)
+    monkeypatch.setattr(criticality_module, "_MinorSolver", Recording)
     for g in (complete(5), cycle(5)):
         table = _MinorTable(g)
         assert table.one_unique() == (True,) * 5

@@ -13,6 +13,7 @@ from tdlab import (
     cycle,
     cycle_complement,
     complete,
+    enumerate_graphs,
     parse_edge_list,
     parse_graph6,
     path,
@@ -93,12 +94,34 @@ def test_delete_edge():
         path(3).delete_edge(0, 2)
 
 
+def _renumbered(edges, drop, merge_into=None):
+    """The edge list once vertex drop is deleted, or first merged into
+    merge_into, with the vertices above drop shifted down by one; written
+    from the definition, as a reference for the Graph methods."""
+    out = set()
+    for a, b in edges:
+        if merge_into is not None:
+            a, b = (merge_into if a == drop else a), (merge_into if b == drop else b)
+        if a != b and drop not in (a, b):
+            a, b = a - (a > drop), b - (b > drop)
+            out.add((min(a, b), max(a, b)))
+    return sorted(out)
+
+
 def test_delete_vertex_renumbers_downward():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     h = g.delete_vertex(1)
     # old 2,3 become 1,2; the only surviving edge is old (2,3)
     assert h.n == 3
     assert h.edges() == [(1, 2)]
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            for v in range(n):
+                h = g.delete_vertex(v)
+                assert h.n == n - 1 and h.edges() == _renumbered(g.edges(), v)
+    for v in (-1, 3):
+        with pytest.raises(ValueError):
+            path(3).delete_vertex(v)
 
 
 def test_contract_edge_merges_into_smaller_endpoint():
@@ -111,6 +134,13 @@ def test_contract_edge_merges_into_smaller_endpoint():
     assert t.n == 2 and t.edges() == [(0, 1)]
     with pytest.raises(ValueError):
         path(3).contract_edge(0, 2)
+    for n in range(2, 7):
+        for g in enumerate_graphs(n):
+            for u, v in g.edges():
+                expected = _renumbered(g.edges(), v, u)
+                for a, b in ((u, v), (v, u)):
+                    h = g.contract_edge(a, b)
+                    assert h.n == n - 1 and h.edges() == expected
 
 
 def test_induced_subgraph():

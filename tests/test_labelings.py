@@ -191,7 +191,7 @@ def test_t_uniqueness_matches_star_clique_test():
 
 
 def test_t_uniqueness_caps():
-    # past solver.T_UNIQUE_MAX_N a vertex that is not 1-unique reads None
+    # past criticality.T_UNIQUE_MAX_N a vertex that is not 1-unique reads None
     assert criticality_report(path(11)).min_t[0] is None
     assert criticality_report(h_graph(6)).min_t[0] is None  # the hub, n = 11
     assert criticality_report(cycle_complement(9)).min_t[0] == 1  # td 8 is no cap

@@ -25,10 +25,11 @@ from tdlab import (
     tree_depth_decision,
     verify_feasible,
 )
-from tdlab.criticality import _report
-from tdlab.graphs import bits
+from tdlab import criticality as criticality_module
 from tdlab import solver as solver_module
-from tdlab.solver import MAX_VERTICES, _MinorTable, _no_f1_through, _solver_for, _SubsetSolver
+from tdlab.criticality import _MinorTable
+from tdlab.graphs import bits
+from tdlab.solver import MAX_VERTICES, _no_f1_through, _solver_for, _SubsetSolver
 
 from oracles import (
     disjoint_union,
@@ -205,7 +206,7 @@ def test_memos_are_exact_where_the_surplus_one_bound_fires(monkeypatch):
             super().__init__(*args)
             made.append(self)
 
-    monkeypatch.setattr(solver_module, "_MinorSolver", Recording)
+    monkeypatch.setattr(criticality_module, "_MinorSolver", Recording)
     refs: dict = {}
     rng = random.Random(73)
     entries = 0
@@ -339,7 +340,7 @@ def test_shared_solver_answers_equal_cold_answers():
             # a minor table takes it, with or without the value td(g)
             assert _MinorTable(g).solver is kept
             table = _MinorTable(g, td)
-            assert table.solver is kept and _report(table).to_dict() == cold_report
+            assert table.solver is kept and table.report().to_dict() == cold_report
             # a graph one edge apart gets its own
             apart = g.delete_edge(*g.edges()[0])
             assert tree_depth(apart).value == cold(tree_depth, apart).value
@@ -441,7 +442,7 @@ def test_minor_solver_memos_are_exact(monkeypatch):
             super().__init__(*args)
             made.append(self)
 
-    monkeypatch.setattr(solver_module, "_MinorSolver", Recording)
+    monkeypatch.setattr(criticality_module, "_MinorSolver", Recording)
 
     def check(h, dropped=None):
         # h is the minor built with Graph ops; vertices above the dropped
@@ -504,7 +505,7 @@ def test_elimination_solver_memos_are_exact(monkeypatch):
         made.clear()
         return checked
 
-    monkeypatch.setattr(solver_module, "_MinorSolver", Recording)
+    monkeypatch.setattr(criticality_module, "_MinorSolver", Recording)
     rng = random.Random(71)
     graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     graphs += [parse_graph6(line) for line in ("GUkL@_", "GOS_do")]
