@@ -6,8 +6,10 @@ stream: blank and '>>' lines are skipped, and a '>>graph6<<' header is cut
 from the front of its line. If every byte of that line falls in 63..126,
 the input is graph6 and must hold no further line; anything else is the
 edge-list format ("n m" header, which always holds a space, then one "u v"
-line per edge). td, check-labeling and report read one graph; a stream of
-graphs is screened with search --input. Exit codes:
+line per edge). td, check-labeling and report read one graph, one line at
+a time: graph6 input stops at its second graph6 line, and an edge list is
+folded into adjacency rows as it is read. A stream of graphs is screened
+with search --input. Exit codes:
 0 success, 1 domain failure (infeasible labeling, a graph over the
 solver's vertex cap, failed criteria), 2 usage. The cap,
 solver.MAX_VERTICES, is fixed: no option lowers it.
@@ -18,13 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import chain
 
 from .criticality import criticality_report
 from .errors import BudgetError, Graph6Error
 from .families import FAMILIES, PATTERNS, pattern
-from .graphs import GRAPH6_MAX_N, Graph, parse_edge_list, parse_graph6, to_graph6
+from .graphs import GRAPH6_MAX_N, Graph, graph6_lines, parse_edge_lines, parse_graph6, to_graph6
 from .labelings import format_labeling, parse_labeling, verify_feasible
-from .search import ENUM_MAX_N, SearchJob, _graph6_lines, run_search
+from .search import ENUM_MAX_N, SearchJob, run_search
 from .solver import MAX_VERTICES, tree_depth
 from .verify import verify_paper
 
@@ -33,22 +37,19 @@ class UsageError(Exception):
     pass
 
 
-def _read_text(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
-
-
 def _read_graph(path: str | None) -> Graph:
-    text = _read_text(path)
-    lines = _graph6_lines(text.splitlines())
-    first = next(lines, "")
-    if first and all(63 <= ord(c) <= 126 for c in first):
-        if next(lines, None) is not None:
-            raise ValueError("input holds more than one graph6 line; screen a stream with search --input")
-        return parse_graph6(first)
-    return parse_edge_list(text)
+    source = nullcontext(sys.stdin) if path is None or path == "-" else open(path, "r", encoding="ascii")
+    with source as fh:
+        lines = iter(fh)
+        # the edge list's header is the first non-blank line, a '>>' line included
+        header = next((line for line in lines if line.strip()), "")
+        stream = graph6_lines(chain([header], lines))
+        first = next(stream, "")
+        if first and all(63 <= ord(c) <= 126 for c in first):
+            if next(stream, None) is not None:
+                raise ValueError("input holds more than one graph6 line; screen a stream with search --input")
+            return parse_graph6(first)
+        return parse_edge_lines(chain([header], lines))
 
 
 def _cmd_td(args: argparse.Namespace) -> int:

@@ -3,7 +3,8 @@
 Covers the structural toolkit everything else builds on: minor operations
 (edge/vertex deletion, edge contraction), induced subgraphs, complement,
 cartesian product, exact canonicalization for small graphs,
-induced-pattern containment, and the graph6 / edge-list text codecs.
+induced-pattern containment, the graph6 / edge-list text codecs, and the
+graph6 stream syntax that search and the CLI read.
 """
 
 from __future__ import annotations
@@ -57,13 +58,10 @@ class Graph:
 
     __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj: Sequence[int] | None = None):
+    def __init__(self, n: int, adj: Sequence[int]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        if adj is None:
-            self.adj = (0,) * n
-            return
         if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
         rows = tuple(adj)
@@ -266,16 +264,34 @@ def parse_graph6(line: str) -> Graph:
     return Graph(n, rows)
 
 
+def graph6_lines(lines: Iterable[str]) -> Iterator[str]:
+    """Stripped lines of a graph6 stream, without blank and '>>' comment
+    lines. The optional '>>graph6<<' header is cut from the front of its
+    line, which holds the first graph unless the header stands alone."""
+    for line in lines:
+        text = line.strip().removeprefix(">>graph6<<")
+        if text and not text.startswith(">>"):
+            yield text
+
+
 # -- edge-list codec ------------------------------------------------------
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the plain text format: first line ``n m``, then m lines ``u v``.
-    The order n is capped as in graph6, before any row is allocated."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse the plain text format: first line ``n m``, then m lines ``u v``."""
+    return parse_edge_lines(text.splitlines())
+
+
+def parse_edge_lines(lines: Iterable[str]) -> Graph:
+    """The edge-list format read one line at a time, blank lines skipped.
+    The order n is capped as in graph6 before any row is allocated, the edge
+    lines are counted, not stored, and each distinct pair is kept once, so
+    memory is bounded by n, not by the input. A wrong line count is reported
+    before a malformed line, and a malformed line before a bad pair."""
+    fields = (ln.split() for ln in lines if ln.strip())
+    head = next(fields, None)
+    if head is None:
         raise ValueError("empty edge-list input")
-    head = lines[0].split()
     if len(head) != 2:
         raise ValueError("edge-list header must be 'n m'")
     n, m = int(head[0]), int(head[1])
@@ -283,15 +299,25 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError("edge-list header counts must be non-negative")
     if n > GRAPH6_MAX_N:
         raise ValueError(f"edge-list order supports n <= {GRAPH6_MAX_N}")
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
-    for k, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {k}: expected 'u v'")
-        edges.append((int(parts[0]), int(parts[1])))
-    return Graph.from_edges(n, edges)
+    pairs: dict[tuple[int, int], None] = {}
+    clean = True  # no out-of-range pair or self-loop kept yet; from_edges reports the first
+    k = 1
+    for k, parts in enumerate(fields, start=2):
+        try:
+            if len(parts) != 2:
+                raise ValueError(f"line {k}: expected 'u v'")
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            k += sum(1 for _ in fields)  # count the lines after the malformed one
+            if k - 1 == m:
+                raise
+            break
+        if clean and (u, v) not in pairs:
+            pairs[u, v] = None
+            clean = 0 <= u < n and 0 <= v < n and u != v
+    if k - 1 != m:
+        raise ValueError(f"expected {m} edge lines, got {k - 1}")
+    return Graph.from_edges(n, pairs)
 
 
 def to_edge_list(g: Graph) -> str:

@@ -19,11 +19,11 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache, partial
 from itertools import chain, islice
 from multiprocessing import Pool
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from .criticality import CriticalityReport, _MinorTable
 from .errors import BudgetError
-from .graphs import CANONICAL_MAX_N, Graph, canonical_form, parse_graph6
+from .graphs import CANONICAL_MAX_N, Graph, canonical_form, graph6_lines, parse_graph6
 from .solver import MAX_VERTICES
 
 ENUM_MAX_N = 7
@@ -59,16 +59,6 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     graph6 order, each already canonically labeled."""
     for line in _enumerated_graph6(n):
         yield parse_graph6(line)
-
-
-def _graph6_lines(lines: Iterable[str]) -> Iterator[str]:
-    """Stripped lines of a graph6 stream, without blank and '>>' comment
-    lines. The optional '>>graph6<<' header is cut from the front of its
-    line, which holds the first graph unless the header stands alone."""
-    for line in lines:
-        text = line.strip().removeprefix(">>graph6<<")
-        if text and not text.startswith(">>"):
-            yield text
 
 
 @dataclass(frozen=True)
@@ -174,7 +164,7 @@ def _screen_one(job: SearchJob, g6: str) -> _Screened:
 
 def _file_lines(path: str) -> Iterator[str]:
     with open(path, "r", encoding="ascii") as fh:
-        yield from _graph6_lines(fh)
+        yield from graph6_lines(fh)
 
 
 def _job_lines(job: SearchJob) -> tuple[Iterator[str], str]:
@@ -185,7 +175,7 @@ def _job_lines(job: SearchJob) -> tuple[Iterator[str], str]:
     if job.n is not None:
         return iter(_enumerated_graph6(job.n)), f"builtin:n={job.n}"
     if job.graph6_path is None:
-        return _graph6_lines(job.graph6_lines), f"lines:{len(job.graph6_lines)}"
+        return graph6_lines(job.graph6_lines), f"lines:{len(job.graph6_lines)}"
     return _file_lines(job.graph6_path), f"file:{job.graph6_path}"
 
 

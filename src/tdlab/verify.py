@@ -1,10 +1,13 @@
 """Replication ledger: the numbered end-to-end checks behind the package.
 
 Each criterion recomputes a published fact from scratch through the public
-API and reports pass/fail with a stable one-line detail. ``full`` runs the
-complete parameter ranges; ``quick`` caps each range one notch lower (the
-main-search criterion instead screens a fixed small stream, because one
-order lower the hit set would be empty by theorem).
+API, appends one string per failure to the list it is handed, and returns a
+stable one-line detail. run_criterion owns the verdict: the criterion passes
+when the list stays empty, and a failing line ends with '; failed:' and the
+first five failures. ``full`` runs the complete parameter ranges;
+``quick`` caps each range one notch lower (the main-search criterion
+instead screens a fixed small stream, because one order lower the hit set
+would be empty by theorem).
 """
 
 from __future__ import annotations
@@ -72,17 +75,14 @@ def _witness_sound(g: Graph) -> bool:
     if max(w.labeling) != w.value:
         return False
     parent = w.elimination_forest
-    children: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for v in range(g.n):
-        hops = 0
-        x = v
-        while x != -1:
-            x = parent[x]
-            hops += 1
-            if hops > g.n:
-                return False
-        if parent[v] != -1:
-            children[parent[v]].append(v)
+    top = [0] * g.n
+    for v, p in enumerate(parent):
+        if p != -1:
+            top[p] = max(top[p], w.labeling[v])
+    # each label is one above its children's highest, so labels rise along
+    # parent pointers and the forest has no cycle: the walks below end
+    if any(label != 1 + t for label, t in zip(w.labeling, top)):
+        return False
     ancestors = []
     for v in range(g.n):
         up = set()
@@ -91,13 +91,7 @@ def _witness_sound(g: Graph) -> bool:
             up.add(x)
             x = parent[x]
         ancestors.append(up)
-    for u, v in g.edges():
-        if u not in ancestors[v] and v not in ancestors[u]:
-            return False
-    for v in range(g.n):
-        if w.labeling[v] != 1 + max((w.labeling[c] for c in children[v]), default=0):
-            return False
-    return True
+    return all(u in ancestors[v] or v in ancestors[u] for u, v in g.edges())
 
 
 def _graphs_upto(n_max: int) -> Iterator[Graph]:
@@ -114,22 +108,19 @@ def _random_graph(rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _c1_andrasfai_depth(full: bool) -> tuple[bool, str]:
+def _c1_andrasfai_depth(full: bool, bad: list[str]) -> str:
     k_max = 5 if full else 4
-    bad = []
     for k in range(1, k_max + 1):
         g = andrasfai(k)
         if tree_depth(g).value != 2 * k:
             bad.append(f"td(And({k}))")
         if tree_depth(g.delete_vertex(0)).value != 2 * k - 1:
             bad.append(f"td(And({k})-v)")
-    detail = f"td=2k and td-after-deletion=2k-1 for k=1..{k_max}"
-    return not bad, detail if not bad else detail + f"; failed: {bad}"
+    return f"td=2k and td-after-deletion=2k-1 for k=1..{k_max}"
 
 
-def _c2_andrasfai_critical(full: bool) -> tuple[bool, str]:
+def _c2_andrasfai_critical(full: bool, bad: list[str]) -> str:
     k_max = 5 if full else 4
-    bad = []
     for k in range(1, k_max + 1):
         for tag, g in ((f"And({k})", andrasfai(k)), (f"And({k})-v", andrasfai(k).delete_vertex(0))):
             report = criticality_report(g)
@@ -137,14 +128,12 @@ def _c2_andrasfai_critical(full: bool) -> tuple[bool, str]:
                 bad.append(f"{tag} not minor-critical")
             if not report.is_one_unique_graph:
                 bad.append(f"{tag} not 1-unique")
-    detail = f"minor-critical and 1-unique for And(k), And(k)-v, k=1..{k_max}"
-    return not bad, detail if not bad else detail + f"; failed: {bad}"
+    return f"minor-critical and 1-unique for And(k), And(k)-v, k=1..{k_max}"
 
 
-def _c3_cycle_complements(full: bool) -> tuple[bool, str]:
+def _c3_cycle_complements(full: bool, bad: list[str]) -> str:
     n_max = 16 if full else 12
     ks = (2, 3, 4) if full else (2, 3)
-    bad = []
     for n in range(5, n_max + 1):
         g = cycle_complement(n)
         if tree_depth(g).value != n - 1:
@@ -163,27 +152,23 @@ def _c3_cycle_complements(full: bool) -> tuple[bool, str]:
             thinned = cycle_complement(n).delete_edge(1, 1 + 2 * k)
             if tree_depth(thinned).value != n - 1:
                 bad.append(f"co-C{n} minus one antipodal edge dropped td")
-    detail = f"td(co-Cn)=n-1 and 1-unique for n=5..{n_max}; sparser G_4k ties td for k in {ks}"
-    return not bad, detail if not bad else detail + f"; failed: {bad}"
+    return f"td(co-Cn)=n-1 and 1-unique for n=5..{n_max}; sparser G_4k ties td for k in {ks}"
 
 
-def _c4_nets_prisms(full: bool) -> tuple[bool, str]:
+def _c4_nets_prisms(full: bool, bad: list[str]) -> str:
     k_max = 8 if full else 7
     a_max = 7 if full else 6
-    bad = []
     for k in range(1, k_max + 1):
         if tree_depth(k_net(k)).value != k + 1:
             bad.append(f"td({k}-net)")
     for a in range(1, a_max + 1):
         if tree_depth(clique_prism(a)).value != (3 * a + 1) // 2:
             bad.append(f"td(K{a} prism)")
-    detail = f"td(k-net)=k+1 for k=1..{k_max}; td(Ka box K2)=ceil(3a/2) for a=1..{a_max}"
-    return not bad, detail if not bad else detail + f"; failed: {bad}"
+    return f"td(k-net)=k+1 for k=1..{k_max}; td(Ka box K2)=ceil(3a/2) for a=1..{a_max}"
 
 
-def _c5_h_graphs(full: bool) -> tuple[bool, str]:
+def _c5_h_graphs(full: bool, bad: list[str]) -> str:
     ns = (4, 5, 6) if full else (4, 5)
-    bad = []
     for n in ns:
         report = criticality_report(h_graph(n))
         if report.td != n + 1:
@@ -195,37 +180,34 @@ def _c5_h_graphs(full: bool) -> tuple[bool, str]:
             bad.append(f"H{n} non-1-unique set is not exactly the hub")
         if report.is_one_unique_graph:
             bad.append(f"H{n} claimed 1-unique")
-    detail = f"td(Hn)=n+1, minor-critical, hub is the only non-1-unique vertex, n in {ns}"
-    return not bad, detail if not bad else detail + f"; failed: {bad}"
+    return f"td(Hn)=n+1, minor-critical, hub is the only non-1-unique vertex, n in {ns}"
 
 
-def _c6_forbidden_equivalence(full: bool) -> tuple[bool, str]:
+def _c6_forbidden_equivalence(full: bool, bad: list[str]) -> str:
     n_max = 7 if full else 6
-    checked = bad = 0
+    checked = 0
     for g in _graphs_upto(n_max):
         value = tree_depth(g).value
         for k in range(3):
             checked += 1
             if (value >= g.n - k) != fk_free(g, k):
-                bad += 1
-    detail = f"td>=n-k iff F_k-free, k=0..2, all graphs n<={n_max} ({checked} checks)"
-    return bad == 0, detail if not bad else detail + f"; {bad} mismatches"
+                bad.append(f"{to_graph6(g)} k={k}")
+    return f"td>=n-k iff F_k-free, k=0..2, all graphs n<={n_max} ({checked} checks)"
 
 
-def _c7_min_t_vs_direct(full: bool) -> tuple[bool, str]:
+def _c7_min_t_vs_direct(full: bool, bad: list[str]) -> str:
     n_max = 6 if full else 5
-    checked = bad = 0
+    checked = 0
     for g in _graphs_upto(n_max):
         report = criticality_report(g)
         checked += g.n
-        bad += sum(a != b for a, b in zip(report.min_t, _direct_min_t(g, report.td)))
-    detail = f"report min_t equals direct labeling search on all graphs n<={n_max} ({checked} vertices)"
-    return bad == 0, detail if not bad else detail + f"; {bad} mismatches"
+        if report.min_t != _direct_min_t(g, report.td):
+            bad.append(to_graph6(g))
+    return f"report min_t equals direct labeling search on all graphs n<={n_max} ({checked} vertices)"
 
 
-def _c8_critical_implies_one_unique(full: bool) -> tuple[bool, str]:
+def _c8_critical_implies_one_unique(full: bool, bad: list[str]) -> str:
     n_max = 7 if full else 6
-    bad = []
     total_hits = 0
     for n in range(2, n_max + 1):
         result = run_search(SearchJob(td_target=n - 1, n=n, critical=True))
@@ -233,11 +215,10 @@ def _c8_critical_implies_one_unique(full: bool) -> tuple[bool, str]:
         for g6, report in result.hits:
             if not report.is_one_unique_graph:
                 bad.append(g6)
-    detail = f"every (n-1)-critical hit is 1-unique (built-in n<={n_max}, {total_hits} hits)"
-    return not bad, detail if not bad else detail + f"; violators: {bad}"
+    return f"every (n-1)-critical hit is 1-unique (built-in n<={n_max}, {total_hits} hits)"
 
 
-def _c9_main_search(full: bool) -> tuple[bool, str]:
+def _c9_main_search(full: bool, bad: list[str]) -> str:
     target_canon = canonical_form(h_graph(4))
     if full:
         n, lines, scope = 7, None, "built-in n=7"
@@ -247,7 +228,6 @@ def _c9_main_search(full: bool) -> tuple[bool, str]:
     job = SearchJob(td_target=5, n=n, graph6_lines=lines, critical=True, non_one_unique=True)
     result = run_search(job)
     connected = run_search(replace(job, connected_only=True))
-    bad = []
     if not result.hits:
         bad.append("empty hit set")
     if target_canon not in {g6 for g6, _ in result.hits}:
@@ -257,22 +237,20 @@ def _c9_main_search(full: bool) -> tuple[bool, str]:
             bad.append(f"{g6} does not have exactly one non-1-unique vertex")
     if [g6 for g6, _ in connected.hits] != [g6 for g6, _ in result.hits]:
         bad.append("connected-only filter changed the hit set")
-    detail = (
+    return (
         f"critical non-1-unique search ({scope}): {len(result.hits)} hit(s), "
         "contains the subdivided clique, one non-1-unique vertex each, "
         "connected-only agrees"
     )
-    return not bad, detail if not bad else detail + f"; failed: {bad}"
 
 
-def _c10_property_suites(full: bool) -> tuple[bool, str]:
+def _c10_property_suites(full: bool, bad: list[str]) -> str:
     witness_max = 6 if full else 5
     reduce_max = 6 if full else 4
     core_max = 6 if full else 5
     surplus_max = 6 if full else 5
     random_count = 500 if full else 100
     greedy_max = 7 if full else 6
-    bad = []
 
     for g in _graphs_upto(witness_max):
         if not _witness_sound(g):
@@ -340,16 +318,15 @@ def _c10_property_suites(full: bool) -> tuple[bool, str]:
         elif not is_minor_critical(h):
             bad.append(f"greedy subgraph not critical on {to_graph6(g)}")
 
-    detail = (
+    return (
         f"witness soundness n<={witness_max}+families, reduce contracts on "
         f"{checked_labelings} labelings n<={reduce_max}, core identities n<={core_max}, "
         f"surplus heredity n<={surplus_max}, {random_count} random minor checks, "
         f"greedy spanning subgraph on {greedy_graphs} 1-unique graphs n<={greedy_max}"
     )
-    return not bad, detail if not bad else detail + f"; failed: {bad[:5]}"
 
 
-_CRITERIA: list[tuple[int, str, Callable[[bool], tuple[bool, str]]]] = [
+_CRITERIA: list[tuple[int, str, Callable[[bool, list[str]], str]]] = [
     (1, "Andrasfai depth formulas", _c1_andrasfai_depth),
     (2, "Andrasfai criticality and 1-uniqueness", _c2_andrasfai_critical),
     (3, "cycle complement depths and sparser ties", _c3_cycle_complements),
@@ -369,8 +346,11 @@ def run_criterion(cid: int, level: str = "full") -> CriterionResult:
     for num, title, fn in _CRITERIA:
         if num == cid:
             start = time.perf_counter()
-            passed, detail = fn(level == "full")
-            return CriterionResult(num, title, passed, detail, time.perf_counter() - start)
+            bad: list[str] = []
+            detail = fn(level == "full", bad)
+            if bad:
+                detail += f"; failed: {bad[:5]}"
+            return CriterionResult(num, title, not bad, detail, time.perf_counter() - start)
     raise ValueError(f"no criterion {cid}")
 
 

@@ -71,6 +71,33 @@ def test_single_graph_commands_refuse_a_stream(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[0] == "4"
 
 
+class EndlessStdin:
+    """A stdin that yields one graph6 line forever and cannot be read whole."""
+
+    def read(self, *args):
+        raise AssertionError("the whole input was read")
+
+    def __iter__(self):
+        while True:
+            yield "Dhc\n"
+
+
+def test_single_graph_commands_refuse_an_endless_stream(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", EndlessStdin())
+    for argv in (["td"], ["report"], ["check-labeling", "1,1,1,1,2"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: input holds more than one graph6 line")
+
+
+def test_edge_list_keeps_its_header_line(capsys, monkeypatch):
+    # a '>>' line before an edge list is its header, as in parse_edge_list
+    code, out, _ = run(capsys, ["td"], stdin="\n4 1\n\n0 1\n", monkeypatch=monkeypatch)
+    assert code == 0 and out.splitlines()[0] == "2"
+    code, out, err = run(capsys, ["td"], stdin=">>x\n4 1\n0 1\n", monkeypatch=monkeypatch)
+    assert code == 1 and out == "" and err == "error: edge-list header must be 'n m'\n"
+
+
 def test_td_budget_exceeded(capsys, monkeypatch):
     code, _, err = run(capsys, ["td"], stdin=OVER_CAP, monkeypatch=monkeypatch)
     assert code == 1

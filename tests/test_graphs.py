@@ -252,10 +252,24 @@ def test_edge_list_round_trip():
 
 
 def test_edge_list_order_is_capped_before_allocation():
-    assert parse_edge_list(f"{GRAPH6_MAX_N} 0\n") == Graph(GRAPH6_MAX_N)
+    assert parse_edge_list(f"{GRAPH6_MAX_N} 0\n") == Graph.from_edges(GRAPH6_MAX_N, [])
     for header in (f"{GRAPH6_MAX_N + 1} 0\n", "1000000000 0\n"):
         with pytest.raises(ValueError, match="n <= 62"):
             parse_edge_list(header)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 3\n0 x\n0 5\n", "expected 3 edge lines, got 2"),
+    ("3 2\n0 5\n0 1 2\n", "line 3: expected 'u v'"),
+    ("3 2\n0 5\nx 1\n", "invalid literal"),
+    ("3 3\n0 1\n1 1\n0 5\n", "self-loop at vertex 1"),
+    ("3 3\n0 1\n0 1\n2 3\n", r"edge \(2, 3\) out of range"),
+])
+def test_edge_list_reports_its_first_fault(text, message):
+    # a wrong line count comes before a malformed line, which comes before
+    # a bad pair, whatever their order in the input
+    with pytest.raises(ValueError, match=message):
+        parse_edge_list(text)
 
 
 # canonical form

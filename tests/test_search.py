@@ -174,7 +174,7 @@ def test_threads_must_be_positive(monkeypatch):
 
 def test_stream_is_screened_as_it_is_read(monkeypatch):
     read = 0
-    lines_read = search_module._graph6_lines
+    lines_read = search_module.graph6_lines
     screen = search_module._screen_one
 
     def counted(lines):
@@ -189,7 +189,7 @@ def test_stream_is_screened_as_it_is_read(monkeypatch):
         screened.append(read)
         return screen(*args)
 
-    monkeypatch.setattr(search_module, "_graph6_lines", counted)
+    monkeypatch.setattr(search_module, "graph6_lines", counted)
     monkeypatch.setattr(search_module, "_screen_one", spy)
     lines = tuple(to_graph6(g) for g in enumerate_graphs(5))
     res = run_search(SearchJob(td_target=4, graph6_lines=lines))

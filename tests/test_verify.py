@@ -4,8 +4,10 @@ import json
 import pytest
 
 from tdlab import (
+    TreeDepthWitness,
     canonical_form,
     complete,
+    cycle,
     cycle_complement,
     enumerate_graphs,
     g4k,
@@ -13,10 +15,12 @@ from tdlab import (
     run_criterion,
     to_graph6,
     tree_depth,
+    verify_feasible,
     verify_paper,
 )
+from tdlab import verify
 from tdlab.cli import main
-from tdlab.verify import _direct_min_t
+from tdlab.verify import _direct_min_t, _witness_sound
 
 from oracles import ref_feasible
 
@@ -28,6 +32,43 @@ def test_run_criterion_validates_inputs():
         run_criterion(11)
     with pytest.raises(ValueError):
         run_criterion(1, level="medium")
+
+
+def test_run_criterion_owns_the_verdict(monkeypatch):
+    def seven_failures(full, bad):
+        bad.extend(f"f{i}" for i in range(7))
+        return "seven checks"
+
+    def none(full, bad):
+        return "no checks"
+
+    monkeypatch.setattr(verify, "_CRITERIA", [(1, "failing", seven_failures), (2, "passing", none)])
+    failed = run_criterion(1, "quick")
+    assert not failed.passed
+    assert failed.line().endswith("-- seven checks; failed: ['f0', 'f1', 'f2', 'f3', 'f4']")
+    passed = run_criterion(2, "quick")
+    assert passed.passed and passed.detail == "no checks"
+    assert passed.line() == "[PASS] criterion 2: passing -- no checks"
+
+
+# P3 (labels 1, 2, 1) and C4 (labels 1, 2, 1, 3) with their true forests,
+# then bad forests under the same feasible labeling
+P3_TRUE = (path(3), TreeDepthWitness(2, (1, 2, 1), (1, -1, 1)))
+C4_TRUE = (cycle(4), TreeDepthWitness(3, (1, 2, 1, 3), (1, 3, 1, -1)))
+BAD_FORESTS = [
+    (cycle(4), TreeDepthWitness(3, (1, 2, 1, 3), (1, 3, 1, 1))),  # parent cycle 1 -> 3 -> 1
+    (cycle(4), TreeDepthWitness(3, (1, 2, 1, 3), (1, 2, 3, -1))),  # a chain: 2 is labeled below its child 1
+    (path(3), TreeDepthWitness(2, (1, 2, 1), (1, -1, -1))),  # edge 1-2 joins two roots
+]
+
+
+@pytest.mark.parametrize("g, witness", [P3_TRUE, C4_TRUE] + BAD_FORESTS,
+                         ids=["P3", "C4", "cycle", "label-rule", "non-ancestors"])
+def test_witness_sound_checks_the_forest(monkeypatch, g, witness):
+    assert _witness_sound(g)  # the solver's own witness
+    assert verify_feasible(g, witness.labeling)
+    monkeypatch.setattr(verify, "tree_depth", lambda _: witness)
+    assert _witness_sound(g) == (witness in (P3_TRUE[1], C4_TRUE[1]))
 
 
 def test_direct_min_t_matches_product_scan():

@@ -168,6 +168,14 @@ def stream_gate() -> str:
     return f"run_search file n=7 census x2 td=5 critical=True, threads 1 and 2: {' '.join(digests)}"
 
 
+def ledger_gate() -> str:
+    """The quick level's result lines of criteria 1..10, which hold no timing."""
+    digest = hashlib.sha256()
+    for cid in range(1, 11):
+        digest.update(f"{tdlab.run_criterion(cid, 'quick').line()}\n".encode())
+    return f"verify-paper quick, criteria 1..10: {digest.hexdigest()}"
+
+
 def code_lines(package: Path) -> int:
     """Lines holding a token other than a comment, outside docstrings."""
     total = 0
@@ -194,7 +202,7 @@ def code_lines(package: Path) -> int:
 def main() -> None:
     graph_gates = [report_gate(), random_report_gate(), family_report_gate(), spanning_subgraph_gate(),
                    solve_sequence_gate()]
-    for line in labeling_gates() + graph_gates + search_gates() + [stream_gate()]:
+    for line in labeling_gates() + graph_gates + search_gates() + [stream_gate(), ledger_gate()]:
         print(line)
     print(f"code lines in the tdlab package: {code_lines(Path(tdlab.__file__).parent)}")
 
