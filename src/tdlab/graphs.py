@@ -5,10 +5,14 @@ Covers the structural toolkit everything else builds on: minor operations
 cartesian product, exact canonicalization for small graphs,
 induced-pattern containment, the graph6 / edge-list text codecs, and the
 graph6 stream syntax that search and the CLI read.
+
+``_pairs`` is the one home of the graph6 pair order: the encoder, the
+decoder and ``canonical_form`` all read it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import Graph6Error
@@ -203,24 +207,34 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 # -- graph6 codec ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs i < j of n vertices in graph6 order: (0,1), (0,2), (1,2),
+    (0,3), .... Every caller caps n at GRAPH6_MAX_N, so the cache holds at
+    most 63 tuples."""
+    return tuple((i, j) for j in range(1, n) for i in range(j))
+
+
+def _pair_bits(adj: Sequence[int], order: Sequence[int]) -> str:
+    """One '0' or '1' per pair of _pairs, for the graph whose vertex k is
+    order[k]: the graph6 body bits of that relabeled graph."""
+    rows = [adj[v] for v in order]
+    masks = [1 << v for v in order]
+    return "".join(["1" if rows[j] & masks[i] else "0" for i, j in _pairs(len(order))])
+
+
+def _graph6(n: int, pair_bits: str) -> str:
+    """The graph6 line of order n: six pair bits to a body byte, the last
+    byte padded with zero bits."""
+    body = pair_bits + "0" * (-len(pair_bits) % 6)
+    return chr(n + 63) + "".join([chr(int(body[k:k + 6], 2) + 63) for k in range(0, len(body), 6)])
+
+
 def to_graph6(g: Graph) -> str:
     """Encode as a single-line graph6 string (order at most 62)."""
     if g.n > GRAPH6_MAX_N:
         raise Graph6Error(f"graph6 single-byte order supports n <= {GRAPH6_MAX_N}", 0)
-    out = [chr(g.n + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | ((g.adj[i] >> j) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    return _graph6(g.n, _pair_bits(g.adj, range(g.n)))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -234,33 +248,23 @@ def parse_graph6(line: str) -> Graph:
     if not 63 <= c0 <= 126:
         raise Graph6Error(f"invalid order byte {c0!r}", 0)
     n = c0 - 63
-    npairs = n * (n - 1) // 2
-    need = (npairs + 5) // 6
+    pairs = _pairs(n)
+    need = (len(pairs) + 5) // 6
     if len(text) - 1 < need:
         raise Graph6Error(f"truncated graph6 body, expected {need} bytes", len(text))
     if len(text) - 1 > need:
         raise Graph6Error("trailing bytes after graph6 body", 1 + need)
+    for k in range(1, len(text)):
+        if not 63 <= ord(text[k]) <= 126:
+            raise Graph6Error(f"invalid body byte {ord(text[k])}", k)
+    body = "".join(f"{ord(ch) - 63:06b}" for ch in text[1:])
+    if "1" in body[len(pairs):]:  # under six padding bits, all in the last byte
+        raise Graph6Error("nonzero padding bits", need)
     rows = [0] * n
-    pos = 0
-    i, j = 0, 1  # the pair at pos; graph6 order: (0,1), (0,2), (1,2), (0,3), ...
-    for k in range(need):
-        c = ord(text[1 + k])
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"invalid body byte {c}", 1 + k)
-        group = c - 63
-        for b in range(5, -1, -1):
-            bit = (group >> b) & 1
-            if pos >= npairs:
-                if bit:
-                    raise Graph6Error("nonzero padding bits", 1 + k)
-                continue
-            if bit:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
+    for (i, j), bit in zip(pairs, body):
+        if bit == "1":
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
     return Graph(n, rows)
 
 
@@ -333,103 +337,72 @@ def canonical_form(g: Graph) -> str:
     """Canonical graph6 string: equal for two graphs iff they are isomorphic.
 
     Individualization-refinement search for the vertex ordering that
-    minimizes the adjacency bitstring among refinement-consistent orderings.
-    Discovered automorphisms prune sibling branches (orbit pruning), which
-    keeps highly symmetric graphs tractable. Exact but capped at n <= 10.
+    minimizes the graph6 pair bits (``_pair_bits``) among
+    refinement-consistent orderings, so the canonical string is the graph6
+    of the least leaf. Orbit pruning keeps highly symmetric graphs
+    tractable: a vertex of the target cell is skipped when its closure
+    under the automorphisms found so far that fix the prefix pointwise
+    meets a vertex already tried there. Exact but capped at n <= 10.
     """
     n = g.n
     if n > CANONICAL_MAX_N:
         raise ValueError(f"canonical_form capped at n <= {CANONICAL_MAX_N}")
-    if n == 0:
-        return "?"
     adj = g.adj
+    nbrs = [list(bits(row)) for row in adj]
 
     def refine(colors: list[int]) -> list[int]:
         # stable color refinement; new color ids ordered by invariant signature
         while True:
-            sigs = [
-                (colors[v], tuple(sorted(colors[u] for u in bits(adj[v]))))
-                for v in range(n)
-            ]
+            sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
             rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
             new = [rank[s] for s in sigs]
             if new == colors:
                 return new
             colors = new
 
-    def leaf_key(order: list[int]) -> tuple[int, ...]:
-        key = []
-        for j in range(1, n):
-            row = adj[order[j]]
-            for i in range(j):
-                key.append((row >> order[i]) & 1)
-        return tuple(key)
-
-    best_key: list = [None]
-    best_order: list = [None]
-    autos: list[tuple[int, ...]] = []
-
-    def orbit_blocked(v: int, tried: list[int], prefix: tuple[int, ...]) -> bool:
-        gens = [a for a in autos if all(a[p] == p for p in prefix)]
-        if not gens:
-            return False
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in gens:
-            for w in range(n):
-                rw, ra = find(w), find(a[w])
-                if rw != ra:
-                    parent[rw] = ra
-        root = find(v)
-        return any(find(u) == root for u in tried)
+    best_key = best_order = None
+    autos: list[list[int]] = []
 
     def search(colors: list[int], prefix: tuple[int, ...]) -> None:
+        nonlocal best_key, best_order
         colors = refine(colors)
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
+        shared = [c for c in colors if colors.count(c) > 1]
+        if not shared:
             order = sorted(range(n), key=colors.__getitem__)
-            key = leaf_key(order)
-            if best_key[0] is None or key < best_key[0]:
-                best_key[0] = key
-                best_order[0] = order
-            elif key == best_key[0]:
+            key = _pair_bits(adj, order)
+            if best_key is None or key < best_key:
+                best_key, best_order = key, order
+            elif key == best_key and order != best_order:
                 sigma = [0] * n
-                for i in range(n):
-                    sigma[best_order[0][i]] = order[i]
-                if any(sigma[v] != v for v in range(n)):
-                    autos.append(tuple(sigma))
+                for b, o in zip(best_order, order):
+                    sigma[b] = o
+                autos.append(sigma)
             return
+        target = min(shared)
         tried: list[int] = []
-        for v in target:
-            if tried and orbit_blocked(v, tried, prefix):
+        for v in range(n):
+            if colors[v] != target:
+                continue
+            gens = [a for a in autos if all(a[p] == p for p in prefix)]
+            orbit = [v]
+            for w in orbit:  # the list grows while it is read
+                for a in gens:
+                    if a[w] not in orbit:
+                        orbit.append(a[w])
+            if any(u in orbit for u in tried):
                 continue
             tried.append(v)
-            cv = colors[v]
             split = [
-                c + 1 if (c > cv or (c == cv and u != v)) else c
+                c + 1 if (c > target or (c == target and u != v)) else c
                 for u, c in enumerate(colors)
             ]
             search(split, prefix + (v,))
 
     search([0] * n, ())
-    order = best_order[0]
-    perm = [0] * n
-    for i, v in enumerate(order):
-        perm[v] = i
-    return to_graph6(g.relabeled(perm))
+    # search's closure holds search; clearing it frees the search state at
+    # return, not at a later cyclic collection
+    del search
+    return _graph6(n, best_key)
 
 
 # -- induced pattern containment ------------------------------------------

@@ -83,15 +83,16 @@ def _witness_sound(g: Graph) -> bool:
     # parent pointers and the forest has no cycle: the walks below end
     if any(label != 1 + t for label, t in zip(w.labeling, top)):
         return False
-    ancestors = []
-    for v in range(g.n):
-        up = set()
-        x = parent[v]
-        while x != -1:
-            up.add(x)
+
+    def below(u: int, v: int) -> bool:
+        # v is an ancestor of u iff the walk up from u first reaches a label
+        # of at least v's at v itself
+        x = parent[u]
+        while x != -1 and w.labeling[x] < w.labeling[v]:
             x = parent[x]
-        ancestors.append(up)
-    return all(u in ancestors[v] or v in ancestors[u] for u, v in g.edges())
+        return x == v
+
+    return all(below(u, v) or below(v, u) for u, v in g.edges())
 
 
 def _graphs_upto(n_max: int) -> Iterator[Graph]:

@@ -4,14 +4,15 @@ Deliberately written from the definitions, with different algorithms than
 the package: feasibility by per-pair path search, tree-depth by label
 enumeration or by the shortcut-free recursion on vertex sets, isomorphism by
 permutation scan, graph6 by direct bit reading, vertex connectivity by
-scanning vertex cuts. The two graph constructions the package does not
-need, the star-clique transform and the disjoint union, are built here from
-edge lists.
+scanning vertex cuts. The graph constructions the package does not need,
+the star-clique transform, the disjoint union and seeded random regular
+graphs, are built here from edge lists.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from tdlab import Graph
 
@@ -29,6 +30,26 @@ def star_clique_transform(g: Graph, v: int) -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """g followed by h, with h's vertices shifted up by g.n."""
     return Graph.from_edges(g.n + h.n, g.edges() + [(a + g.n, b + g.n) for a, b in h.edges()])
+
+
+def random_regular(rng: random.Random, n: int, d: int) -> Graph:
+    """A d-regular graph on n vertices by the pairing model: n * d endpoint
+    copies paired at random, redrawn until no pair is a loop or a repeat."""
+    while True:
+        ends = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(ends)
+        edges = {(min(e), max(e)) for e in zip(ends[::2], ends[1::2])}
+        if len(edges) == n * d // 2 and all(u != v for u, v in edges):
+            return Graph.from_edges(n, sorted(edges))
+
+
+def regular_corpus() -> list[Graph]:
+    """15 seeded random regular graphs for each (n, d) in (8, 3), (8, 4),
+    (9, 4), (10, 3), (10, 4) and (10, 5). Color refinement splits no cell of
+    a regular graph, so a canonical search on them must individualize."""
+    rng = random.Random(2208)
+    shapes = ((8, 3), (8, 4), (9, 4), (10, 3), (10, 4), (10, 5))
+    return [random_regular(rng, n, d) for n, d in shapes for _ in range(15)]
 
 
 def ref_feasible(n: int, edges: list[tuple[int, int]], labels) -> bool:

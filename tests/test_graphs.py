@@ -28,6 +28,7 @@ from oracles import (
     ref_decode_graph6,
     ref_isomorphic,
     ref_vertex_connectivity,
+    regular_corpus,
     star_clique_transform,
 )
 
@@ -284,6 +285,19 @@ def test_canonical_form_is_isomorphism_invariant():
         h = g.relabeled(perm)
         assert canonical_form(g) == canonical_form(h)
         assert parse_graph6(canonical_form(g)) is not None
+
+
+def test_canonical_form_is_invariant_where_refinement_stalls():
+    # no cell of a regular graph splits before individualization, so a
+    # search that skips a vertex of a target cell without a true
+    # automorphism to prune it yields relabeling-dependent strings here
+    rng = random.Random(29)
+    for g in regular_corpus():
+        key = canonical_form(g)
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabeled(perm)) == key
 
 
 def test_canonical_form_separates_non_isomorphic():

@@ -8,7 +8,9 @@ kept that output byte-identical. The package under test is whichever
     PYTHONPATH=/path/to/other/src python3 tools/gates.py > before.txt
     diff before.txt after.txt
 
-The last line counts the code lines of the imported package, without
+The canonical-form gate takes the regular-graph corpus from
+``tests/oracles.py`` in this script's own checkout, so runs against either
+package see the same inputs. The last line counts the code lines of the imported package, without
 docstrings, comments and blank lines. One run takes one to two minutes on
 a 2-core machine with Python 3.11, most of it in the labeling stream.
 """
@@ -20,12 +22,16 @@ import hashlib
 import io
 import json
 import random
+import sys
 import tempfile
 import tokenize
 from pathlib import Path
 
 import tdlab
 from tdlab.verify import _graphs_upto
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import regular_corpus  # noqa: E402
 
 # The six screens of the census-n7 benchmark workload: (--critical, --td),
 # each run over all graphs on 7 vertices with --non-1-unique.
@@ -60,6 +66,10 @@ def labeling_gates() -> list[str]:
     ]
 
 
+def _gnp(rng: random.Random, n: int, p: float) -> tdlab.Graph:
+    return tdlab.Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
 def _report_digest(graphs: list[tdlab.Graph]) -> str:
     """sha256 of one graph6 and CriticalityReport.to_dict JSON line per graph."""
     digest = hashlib.sha256()
@@ -83,10 +93,7 @@ def random_report_gate() -> str:
     rng = random.Random(810)
     graphs: list[tdlab.Graph] = []
     while len(graphs) < count:
-        n, p = rng.randint(8, 10), rng.choice((0.3, 0.45, 0.6))
-        g = tdlab.Graph.from_edges(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        )
+        g = _gnp(rng, rng.randint(8, 10), rng.choice((0.3, 0.45, 0.6)))
         if tdlab.tree_depth(g).value <= 6:
             graphs.append(g)
     return f"criticality_report 8<=n<=10, td<=6: {count} random graphs {_report_digest(graphs)}"
@@ -135,6 +142,61 @@ def solve_sequence_gate() -> str:
                 digest.update(f"{tdlab.to_graph6(g)} {w} {at} {below} {back}\n".encode())
                 count += 1
     return f"solve sequence G(n, m) 10<=n<=15: {count} graphs {digest.hexdigest()}"
+
+
+def canonical_gate() -> str:
+    """canonical_form of 3,000 seeded random graphs with n <= 10, of the
+    tests' regular corpus, where refinement splits no cell, and of ten
+    symmetric graphs on 8 to 10 vertices."""
+    rng = random.Random(2207)
+    graphs = [_gnp(rng, rng.randint(0, 10), rng.choice((0.2, 0.5, 0.8))) for _ in range(3000)]
+    petersen = tdlab.Graph.from_edges(
+        10, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+    )
+    graphs += regular_corpus() + [
+        tdlab.complete(10), tdlab.Graph(10, [0] * 10), tdlab.cycle(10), tdlab.cycle_complement(10),
+        petersen, tdlab.andrasfai(3), tdlab.h_graph(5), tdlab.clique_prism(5), tdlab.g4k(2), tdlab.k_net(5),
+    ]
+    text = "".join(f"{tdlab.canonical_form(g)}\n" for g in graphs)
+    return f"canonical_form n<=10: {len(graphs)} graphs {hashlib.sha256(text.encode()).hexdigest()}"
+
+
+def _malformed(rng: random.Random) -> str:
+    """A graph6 line with one random fault: cut short, extended, one byte
+    replaced, padding bits set, or a line ending or space appended. Some
+    stay valid."""
+    line = tdlab.to_graph6(_gnp(rng, rng.randint(0, 20), 0.5))
+    k = rng.randrange(len(line))
+    fault = rng.randrange(5)
+    if fault == 0:
+        return line[:k]
+    if fault == 1:
+        return line + chr(rng.randint(63, 126)) * rng.randint(1, 3)
+    if fault == 2:
+        return line[:k] + chr(rng.randint(0, 200)) + line[k + 1:]
+    if fault == 3:
+        return line[:-1] + chr((ord(line[-1]) - 63 | rng.randint(1, 63)) + 63)
+    return line + rng.choice(("\n", "\r\n", " "))
+
+
+def graph6_gate() -> str:
+    """to_graph6 of 4,000 seeded random graphs with n <= 62, and
+    parse_graph6 of 3,000 seeded faulty lines: the rows, or the error text
+    with its byte offset."""
+    rng = random.Random(2206)
+    digest = hashlib.sha256()
+    for _ in range(4000):
+        digest.update(f"{tdlab.to_graph6(_gnp(rng, rng.randint(0, 62), rng.random()))}\n".encode())
+    errors = 0
+    for _ in range(3000):
+        try:
+            text = str(tdlab.parse_graph6(_malformed(rng)).adj)
+        except tdlab.Graph6Error as exc:
+            errors += 1
+            text = str(exc)
+        digest.update(f"{text}\n".encode())
+    return f"to_graph6 n<=62 and parse_graph6 of faulty lines: 4000 graphs, 3000 lines, {errors} errors {digest.hexdigest()}"
 
 
 def search_gates() -> list[str]:
@@ -201,7 +263,7 @@ def code_lines(package: Path) -> int:
 
 def main() -> None:
     graph_gates = [report_gate(), random_report_gate(), family_report_gate(), spanning_subgraph_gate(),
-                   solve_sequence_gate()]
+                   solve_sequence_gate(), canonical_gate(), graph6_gate()]
     for line in labeling_gates() + graph_gates + search_gates() + [stream_gate(), ledger_gate()]:
         print(line)
     print(f"code lines in the tdlab package: {code_lines(Path(tdlab.__file__).parent)}")
