@@ -412,35 +412,24 @@ def contains_induced(g: Graph, pattern: Graph) -> bool:
     """Does g contain an induced copy of pattern?
 
     Exact backtracking over injections, pattern vertices in descending
-    degree order, candidates pruned by degree.
+    degree order. A free vertex w of g can take the next pattern vertex
+    when its row meets the images placed so far in exactly the images of
+    that vertex's placed neighbours: ``g.adj[w] & placed == need``.
     """
-    if pattern.n > g.n:
-        return False
-    if pattern.n == 0:
-        return True
     order = sorted(range(pattern.n), key=lambda v: -pattern.degree(v))
-    pdeg = [pattern.degree(v) for v in order]
-    image = [0] * pattern.n
-    used = [0]
+    return pattern.n <= g.n and _embeds(g, pattern, order, [])
 
-    def extend(k: int) -> bool:
-        if k == pattern.n:
-            return True
-        pv = order[k]
-        for w in range(g.n):
-            if (used[0] >> w) & 1 or g.degree(w) < pdeg[k]:
-                continue
-            ok = True
-            for i in range(k):
-                if pattern.has_edge(pv, order[i]) != g.has_edge(w, image[i]):
-                    ok = False
-                    break
-            if ok:
-                image[k] = w
-                used[0] |= 1 << w
-                if extend(k + 1):
-                    return True
-                used[0] &= ~(1 << w)
-        return False
 
-    return extend(0)
+def _embeds(g: Graph, pattern: Graph, order: list[int], image: list[int]) -> bool:
+    """Can the images ``image`` of the first pattern vertices of ``order``
+    be extended to an induced embedding of the rest?"""
+    if len(image) == pattern.n:
+        return True
+    row = pattern.adj[order[len(image)]]
+    placed = sum(1 << w for w in image)
+    need = sum(1 << w for u, w in zip(order, image) if row >> u & 1)
+    for w in range(g.n):
+        if not placed >> w & 1 and g.adj[w] & placed == need:
+            if _embeds(g, pattern, order, image + [w]):
+                return True
+    return False

@@ -112,29 +112,24 @@ def feasible_labelings(g: Graph, max_label: int) -> Iterator[tuple[int, ...]]:
     order of the label array. Backtracking with the pruning rule of the
     module docstring.
     """
-    n = g.n
-    if n == 0:
-        yield ()
-        return
-    if max_label <= 0:
-        return
-    adj = g.adj
-    labels = [0] * n
-    cls = [0] * (max_label + 1)  # mask of the labeled vertices per label
+    return _extensions(g.adj, max_label, (), [0] * (max_label + 1))
 
-    def go(v: int) -> Iterator[tuple[int, ...]]:
-        if v == n:
-            yield tuple(labels)
-            return
-        bit = 1 << v
-        for c in range(1, max_label + 1):
-            labels[v] = c
-            cls[c] |= bit
-            if _first_repeat(adj, enumerate(cls[c:], c), sum(cls[:c])) is None:
-                yield from go(v + 1)
-            cls[c] ^= bit
 
-    yield from go(0)
+def _extensions(
+    adj: Sequence[int], max_label: int, labels: tuple[int, ...], cls: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """The feasible labelings that extend the feasible prefix ``labels``,
+    in lexicographic order; ``cls[c]`` is the mask of the prefix's vertices
+    labeled c."""
+    v = len(labels)
+    if v == len(adj):
+        yield labels
+        return
+    for c in range(1, max_label + 1):
+        cls[c] |= 1 << v
+        if _first_repeat(adj, enumerate(cls[c:], c), sum(cls[:c])) is None:
+            yield from _extensions(adj, max_label, labels + (c,), cls)
+        cls[c] ^= 1 << v
 
 
 def is_reduced(labels: Sequence[int]) -> bool:

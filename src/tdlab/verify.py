@@ -35,7 +35,8 @@ from .families import (
     k_net,
 )
 from .graphs import Graph, canonical_form, to_graph6
-from .labelings import feasible_labelings, irreducible_core, is_reduced, reduce_labeling, verify_feasible
+from .labelings import (feasible_labelings, irreducible_core, is_reduced, reduce_labeling,
+                        standard_labeling_andrasfai, verify_feasible)
 from .search import SearchJob, enumerate_graphs, run_search
 from .solver import surplus, tree_depth
 
@@ -117,7 +118,11 @@ def _c1_andrasfai_depth(full: bool, bad: list[str]) -> str:
             bad.append(f"td(And({k}))")
         if tree_depth(g.delete_vertex(0)).value != 2 * k - 1:
             bad.append(f"td(And({k})-v)")
-    return f"td=2k and td-after-deletion=2k-1 for k=1..{k_max}"
+        labels = standard_labeling_andrasfai(k)
+        if not verify_feasible(g, labels) or max(labels) != 2 * k:
+            bad.append(f"standard labeling of And({k})")
+    return (f"td=2k and td-after-deletion=2k-1 for k=1..{k_max}; the standard labeling is feasible "
+            "with max label 2k, so td<=2k with no solve")
 
 
 def _c2_andrasfai_critical(full: bool, bad: list[str]) -> str:

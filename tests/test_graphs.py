@@ -349,6 +349,13 @@ def test_contains_induced_examples():
     # an induced 2K2 in the complement would be an induced C4 in the cycle
     assert not contains_induced(cycle_complement(8), pattern("2K2"))
     assert contains_induced(cycle(8), pattern("2K2"))
+    # the empty pattern embeds everywhere; a larger pattern nowhere
+    empty = Graph(0, [])
+    assert contains_induced(empty, empty)
+    assert contains_induced(path(3), empty)
+    assert not contains_induced(empty, pattern("2K1"))
+    assert not contains_induced(path(3), pattern("2K2"))
+    assert not contains_induced(complete(5), complete(6))
 
 
 def test_contains_induced_brute_agreement():

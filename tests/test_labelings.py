@@ -69,9 +69,13 @@ def test_feasible_labelings_random_graphs():
 
 
 def test_feasible_labelings_edges_cases():
-    assert list(feasible_labelings(Graph.from_edges(0, []), 3)) == [()]
-    assert list(feasible_labelings(path(2), 0)) == []
-    assert list(feasible_labelings(path(2), 1)) == []
+    # the empty prefix is the one labeling of the empty graph at any cap,
+    # and a cap below the depth leaves nothing
+    for top in (-1, 0, 1, 3):
+        assert list(feasible_labelings(Graph(0, []), top)) == [()]
+    for top in (-1, 0, 1):
+        assert list(feasible_labelings(path(2), top)) == []
+    assert list(feasible_labelings(path(2), 2)) == [(1, 2), (2, 1)]
 
 
 def test_iter_optimal_uses_td_budget():

@@ -1,11 +1,15 @@
 """Seeded randomized invariants that cut across modules."""
 
+import gc
 import random
 
 from tdlab import (
     Graph,
     canonical_form,
+    contains_induced,
     criticality_report,
+    cycle,
+    feasible_labelings,
     fk_free,
     parse_graph6,
     surplus,
@@ -123,3 +127,28 @@ def test_one_unique_check_equals_transform_depth_drop():
         for v in range(g.n):
             dropped = tree_depth(star_clique_transform(g, v)).value < t
             assert flags[v] == dropped
+
+
+def test_backtracking_searches_leave_no_reference_cycles():
+    # each search frees its state when it returns or is dropped, without
+    # waiting for the cyclic collector
+    rng = random.Random(230)
+    g8, g6 = random_graph(rng, n=8, p=0.5), random_graph(rng, n=6, p=0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            contains_induced(g8, cycle(4))
+        left = [gc.collect()]
+        for _ in range(20):
+            list(feasible_labelings(g6, g6.n))
+        left.append(gc.collect())
+        for _ in range(20):
+            next(feasible_labelings(g6, g6.n))
+        left.append(gc.collect())
+        for _ in range(20):
+            canonical_form(g8)
+        left.append(gc.collect())
+    finally:
+        gc.enable()
+    assert left == [0, 0, 0, 0]

@@ -162,6 +162,21 @@ def canonical_gate() -> str:
     return f"canonical_form n<=10: {len(graphs)} graphs {hashlib.sha256(text.encode()).hexdigest()}"
 
 
+def induced_gate() -> str:
+    """contains_induced of every graph with n <= 7 against every named
+    pattern, and of 3,000 seeded random pairs: g with n <= 10, the pattern
+    with n <= 6."""
+    patterns = [tdlab.pattern(name) for name in tdlab.PATTERNS]
+    pairs = [(g, p) for g in _graphs_upto(7) for p in patterns]
+    rng = random.Random(2301)
+    for _ in range(3000):
+        g = _gnp(rng, rng.randint(0, 10), rng.choice((0.2, 0.5, 0.8)))
+        pairs.append((g, _gnp(rng, rng.randint(0, 6), rng.choice((0.2, 0.5, 0.8)))))
+    text = "".join("01"[tdlab.contains_induced(g, p)] for g, p in pairs)
+    return (f"contains_induced n<=7 x patterns, 3000 random pairs: {len(pairs)} pairs, "
+            f"{text.count('1')} contained {hashlib.sha256(text.encode()).hexdigest()}")
+
+
 def _malformed(rng: random.Random) -> str:
     """A graph6 line with one random fault: cut short, extended, one byte
     replaced, padding bits set, or a line ending or space appended. Some
@@ -263,7 +278,7 @@ def code_lines(package: Path) -> int:
 
 def main() -> None:
     graph_gates = [report_gate(), random_report_gate(), family_report_gate(), spanning_subgraph_gate(),
-                   solve_sequence_gate(), canonical_gate(), graph6_gate()]
+                   solve_sequence_gate(), canonical_gate(), graph6_gate(), induced_gate()]
     for line in labeling_gates() + graph_gates + search_gates() + [stream_gate(), ledger_gate()]:
         print(line)
     print(f"code lines in the tdlab package: {code_lines(Path(tdlab.__file__).parent)}")
