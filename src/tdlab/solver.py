@@ -3,7 +3,7 @@
 tree_depth(g) follows the recursive characterization: an empty graph has
 depth 0, a disconnected graph takes the maximum over its components, and a
 connected graph costs 1 plus the best vertex deletion. The recursion is
-memoized on vertex-subset bitmasks, with four exact shortcuts:
+memoized on vertex-subset bitmasks, with five exact shortcuts:
 
 * a connected subset of size <= 2 has depth equal to its size;
 * a subset with a universal vertex v satisfies td(S) = 1 + td(S - v),
@@ -19,9 +19,11 @@ memoized on vertex-subset bitmasks, with four exact shortcuts:
   the others afterwards in the same order, so a memo that already shows
   T - 1 and T ends it without a new solve;
 * the scan also stops at the first child S - x of depth |S| - 2 when
-  g[S] has no 3K1 and no induced 2K2 through x, for then T = |S| - 1.
+  g[S] has no 3K1 and no induced 2K2 through x, for then T = |S| - 1;
+* and at a child S - x of depth |S| - 3 when g[S] has no induced 4K1,
+  2K2+K1, P3+K2 or 2K3 through x, for then T = |S| - 2.
 
-The last rule is the surplus-one lemma, the F_1 case of
+The fourth rule rests on the surplus-one lemma, the F_1 case of
 families.FORBIDDEN_LISTS: td(S) >= |S| - 1 iff g[S] has no induced 3K1
 and no induced 2K2, that is, iff the complement of g[S] has no triangle
 and no 4-cycle (a 4-cycle with a chord holds a triangle).
@@ -41,11 +43,57 @@ and no 4-cycle (a 4-cycle with a chord holds a triangle).
 
 By the lemma, a child S - x of depth |S| - 2 = |S - x| - 1 holds no 3K1 or
 induced 2K2, so g[S] holds one iff it holds one through x. _no_f1_through
-answers that in one pass over S: x's non-neighbours must form a clique
+answers that in one pass over S - x: x's non-neighbours must form a clique
 (else x and two of them form a 3K1), and no neighbour y of x may miss two
-of them (else xy and the edge between those two form a 2K2). If g[S]
-holds none, td(S) >= |S| - 1 = 1 + td(S - x), which the scan has already
-reached; if it holds one, td(S) <= |S| - 2 and the scan goes on.
+of them (else xy and the edge between those two form a 2K2); that is, no
+vertex of S - x misses two of x's non-neighbours, counting itself as
+missed. If g[S] holds none, td(S) >= |S| - 1 = 1 + td(S - x), which the
+scan has already reached; if it holds one, td(S) <= |S| - 2 and the scan
+goes on.
+
+The fifth rule rests on the surplus-two lemma, the F_2 case: td(S) >=
+|S| - 2 iff g[S] has no induced 4K1, 2K2+K1, P3+K2 or 2K3.
+
+* If td(S) <= |S| - 3, delete optimal roots while the set is connected, as
+  above; the surplus stays >= 3, and a disconnected set D with surplus >= 3
+  is reached. Let C be a deepest component of D, so td(D) = td(C). With
+  four or more components, one vertex of each forms a 4K1. With three, a
+  component that is not a clique gives two non-adjacent vertices, and one
+  vertex of each other component completes a 4K1. If all three are
+  cliques, td(D) = |C| is the largest size, the other two have at least
+  three vertices together, so C and one other hold an edge each, and the
+  third gives the K1 of a 2K2+K1. With two components, C and C':
+  if |C'| = 1, C has surplus >= 2, so by the surplus-one lemma it holds a
+  3K1 or a 2K2, and the vertex of C' makes a 4K1 or a 2K2+K1. If C' is
+  an edge, C has surplus >= 1 and is not a clique, so, being connected, it
+  holds an induced P3, and with C' a P3+K2. If |C'| >= 3 and C' is not a
+  clique, C' holds an induced P3 and C, with td(C) >= td(C') >= 2, an
+  edge: a P3+K2. If C' is a clique, td(C) >= |C'| >= 3; a C that is not a
+  clique holds a P3 to go with an edge of C', and a clique C holds a
+  triangle to go with one of C': a P3+K2 or a 2K3.
+* Conversely, each of the four patterns P has td(P) = |P| - 3 (1, 2, 2
+  and 3), and each deleted vertex adds at most one level, so a pattern in
+  g[S] shows td(S) <= (|S| - |P|) + (|P| - 3) = |S| - 3.
+
+A child S - x of depth |S| - 3 = |S - x| - 2 holds none of the four, so
+g[S] holds one iff it holds one through x, and if it holds none, td(S) =
+|S| - 2 = 1 + td(S - x). _no_f2_through looks at each place x can take.
+Let far be x's non-neighbours in S. Where x is the K1 of a 4K1 or a
+2K2+K1, the rest is a 3K1 or a 2K2 in far, so g[far] must hold neither
+(the surplus-one test at each vertex of far in turn). Every other place
+puts a neighbour y of x next to x in the pattern; let fy be the vertices
+of far that y misses too. An xy edge of a 2K2+K1 or a P3+K2 needs an
+induced K2+K1 or P3 in fy, so fy must be a clique or edgeless (with no
+P3 its components are cliques, and with no K2+K1 an edge leaves no other
+component). An edgeless fy has at most two vertices, since far holds no
+3K1, and every remaining place needs an edge in fy. With fy a clique, a
+P3 x-y-z (z in far) or y-x-z (z a neighbour of x that misses y) ends a
+P3+K2 iff z misses two vertices of fy, an edge; a triangle xyz ends a
+2K3 iff z misses three vertices of fy, a triangle. The scan runs this
+test at most once per subset: the memo walk notes the first x whose
+child has depth |S| - 3 and tests it after the walk only if a child is
+still unsolved, and the solve loop tests the child that first brings
+best to |S| - 2.
 
 Every memo entry is exact; the early exits only leave some subsets unsolved.
 This one recursion answers every question; tree_depth_decision(g, k)
@@ -157,7 +205,10 @@ class _SubsetSolver:
         # universal vertex and reads the children already in the memo; the
         # children it had to skip are solved afterwards, in the same order.
         # The first child of depth size - 2 makes best = size - 1, and the
-        # surplus-one test through its vertex may end the scan there.
+        # surplus-one test through its vertex may end the scan there. The
+        # first child S - x of depth size - 3 makes best = size - 2, and the
+        # surplus-two test through x may end it there; the walk only notes x,
+        # and tests it after the walk if a child is left to solve.
         best = size
         unsolved = []
         rest = mask
@@ -177,15 +228,20 @@ class _SubsetSolver:
                 best = depth + 1
                 if best <= hi or best == size - 1 and _no_f1_through(adj, mask, low):
                     return best
+                if best == size - 2:
+                    x = low
             elif best <= hi:
                 return best
+        if unsolved and best == size - 2 and _no_f2_through(adj, mask, x):
+            return best
         for child in unsolved:
             depth = self.td(child)
             if depth > hi:
                 hi = depth
             if depth + 1 < best:
                 best = depth + 1
-                if best <= hi or best == size - 1 and _no_f1_through(adj, mask, mask ^ child):
+                if (best <= hi or best == size - 1 and _no_f1_through(adj, mask, mask ^ child)
+                        or best == size - 2 and _no_f2_through(adj, mask, mask ^ child)):
                     break
             elif best <= hi:
                 break
@@ -196,21 +252,52 @@ def _no_f1_through(adj: Sequence[int], mask: int, bit: int) -> bool:
     """Does the subset hold no 3K1 and no induced 2K2 through its vertex
     ``bit``? When the subset less that vertex holds neither, this decides
     td(subset) >= |subset| - 1 (module docstring)."""
+    far = mask & ~adj[bit.bit_length() - 1] ^ bit  # the vertex's non-neighbours
+    return _each_misses_at_most(adj, mask ^ bit, far, 1)
+
+
+def _no_f2_through(adj: Sequence[int], mask: int, bit: int) -> bool:
+    """Does the subset hold no induced 4K1, 2K2+K1, P3+K2 or 2K3 through its
+    vertex ``bit``, x? When the subset less x holds none, this decides
+    td(subset) >= |subset| - 2 (module docstring)."""
     x = bit.bit_length() - 1
     far = mask & ~adj[x] ^ bit  # the non-neighbours of x
     rest = far
-    while rest:
+    while rest.bit_count() > 2:  # a 3K1 or 2K2 needs three vertices
         low = rest & -rest
+        if not _no_f1_through(adj, rest, low):
+            return False  # x and a 3K1 or 2K2 of far: 4K1 or 2K2+K1
         rest ^= low
-        if far & ~adj[low.bit_length() - 1] ^ low:
-            return False  # x, y and a non-neighbour of y in far: 3K1
     rest = mask & adj[x]
     while rest:
         low = rest & -rest
         rest ^= low
-        missed = far & ~adj[low.bit_length() - 1]
-        if missed & (missed - 1):
-            return False  # x, y and two vertices of the clique far that y misses: 2K2
+        near_y = adj[low.bit_length() - 1]  # the neighbours of y
+        fy = far & ~near_y  # the vertices that miss both x and y
+        if not fy & (fy - 1):
+            continue  # one vertex at most: no edge for any pattern with xy
+        if not _each_misses_at_most(adj, fy, fy, 1):
+            if fy.bit_count() > 2:
+                return False  # xy and a K2+K1 or P3 of fy: 2K2+K1 or P3+K2
+            continue  # fy is two non-adjacent vertices and holds no edge
+        # fy is a clique. A P3 x-y-z or y-x-z and an edge of fy off z form a
+        # P3+K2; a triangle xyz and a triangle of fy off z form a 2K3. The
+        # last two are symmetric in y and z, so z above y suffices there.
+        triangle = rest & near_y
+        if not (_each_misses_at_most(adj, far & near_y | rest ^ triangle, fy, 1)
+                and _each_misses_at_most(adj, triangle, fy, 2)):
+            return False
+    return True
+
+
+def _each_misses_at_most(adj: Sequence[int], among: int, within: int, k: int) -> bool:
+    """Does each vertex of ``among`` miss at most ``k`` vertices of
+    ``within``? A vertex misses itself."""
+    while among:
+        low = among & -among
+        among ^= low
+        if (within & ~adj[low.bit_length() - 1]).bit_count() > k:
+            return False
     return True
 
 

@@ -22,10 +22,11 @@ from tdlab import (
     k_net,
     path,
     pattern,
+    to_graph6,
     tree_depth,
 )
 
-from oracles import ref_isomorphic, ref_vertex_connectivity
+from oracles import ref_isomorphic, ref_tree_depth_dp, ref_vertex_connectivity
 
 
 def isomorphic(g, h):
@@ -166,11 +167,15 @@ def test_generate_dispatch():
 
 
 def test_forbidden_list_equivalence_small():
-    for n in range(1, 7):
+    # the solver's surplus-one and surplus-two stops rest on F_1 and F_2, so
+    # tree_depth alone would check the lists against themselves; the
+    # shortcut-free recursion checks them independently
+    for n in range(1, 8):
         for g in enumerate_graphs(n):
             td = tree_depth(g).value
+            assert td == ref_tree_depth_dp(n, g.edges())(frozenset(range(n))), to_graph6(g)
             for k in range(3):
-                assert fk_free(g, k) == (td >= g.n - k)
+                assert fk_free(g, k) == (td >= g.n - k), (to_graph6(g), k)
     with pytest.raises(ValueError):
         fk_free(complete(2), 3)
 

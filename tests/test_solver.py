@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from tdlab import (
+    FORBIDDEN_LISTS,
     BudgetError,
     Graph,
     complete,
+    contains_induced,
     criticality_report,
     cycle,
     cycle_complement,
@@ -35,7 +37,7 @@ from tdlab import criticality as criticality_module
 from tdlab import solver as solver_module
 from tdlab.criticality import _MinorTable
 from tdlab.graphs import bits
-from tdlab.solver import MAX_VERTICES, _no_f1_through, _solver_for, _SubsetSolver
+from tdlab.solver import MAX_VERTICES, _no_f1_through, _no_f2_through, _solver_for, _SubsetSolver
 
 from oracles import (
     disjoint_union,
@@ -193,6 +195,43 @@ def test_surplus_one_check_matches_the_forbidden_list():
                     checked += 1
                     assert _no_f1_through(g.adj, g.full_mask(), 1 << x) == free, (to_graph6(g), x)
     assert checked > 1000
+
+
+def test_surplus_two_check_matches_the_forbidden_list():
+    # when g - x has no induced 4K1, 2K2+K1, P3+K2 or 2K3 (F_2), the check
+    # through x must say whether g has one. Each pattern is the only member
+    # of F_2 in some checked g, so a check that misses one pattern fails
+    checked, alone = 0, set()
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            held = [name for name in FORBIDDEN_LISTS[2] if contains_induced(g, pattern(name))]
+            for x in range(n):
+                if fk_free(g.delete_vertex(x), 2):
+                    checked += 1
+                    assert _no_f2_through(g.adj, g.full_mask(), 1 << x) == (not held), (to_graph6(g), x)
+                    if len(held) == 1:
+                        alone.update(held)
+    assert checked > 5000 and alone == set(FORBIDDEN_LISTS[2])
+
+
+def test_memos_are_exact_where_the_surplus_two_bound_fires():
+    # dense G(n, m) graphs hold many subsets of surplus two, where the
+    # surplus-two check ends the scan; every memo entry against the
+    # shortcut-free recursion
+    rng = random.Random(2411)
+    entries = 0
+    for n in range(11, 14):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for p in (0.5, 0.7, 0.8):
+            for _ in range(2):
+                g = Graph.from_edges(n, rng.sample(pairs, round(p * len(pairs))))
+                td = ref_tree_depth_dp(n, g.edges())
+                solver = _SubsetSolver(g.adj)
+                solver.td(g.full_mask())
+                for mask, depth in _solved(solver.memo):
+                    assert depth == td(frozenset(bits(mask))), (to_graph6(g), mask)
+                entries += len(_solved(solver.memo))
+    assert entries > 5000
 
 
 def _read_in(solver, to):

@@ -121,16 +121,16 @@ def spanning_subgraph_gate() -> str:
     return f"critical_spanning_subgraph n<=7, co-C8..co-C16, g4k(2..4): {len(graphs)} graphs {digest.hexdigest()}"
 
 
-def solve_sequence_gate() -> str:
+def solve_sequence_gate(sizes: range = range(10, 16), seed: int = 1015) -> str:
     """The solve-gnp benchmark's calls on seeded G(n, m) graphs, two at
-    each 10 <= n <= 15 and density .35, .5 and .7: the witness labeling and
-    forest, the decisions at td and td - 1, then the same calls in reverse
-    order, so that later calls meet a solver that earlier calls on the same
-    graph have filled."""
-    rng = random.Random(1015)
+    each n in ``sizes`` and density .35, .5 and .7: the witness labeling
+    and forest, the decisions at td and td - 1, then the same calls in
+    reverse order, so that later calls meet a solver that earlier calls on
+    the same graph have filled."""
+    rng = random.Random(seed)
     digest = hashlib.sha256()
     count = 0
-    for n in range(10, 16):
+    for n in sizes:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for p in (0.35, 0.5, 0.7):
             for _ in range(2):
@@ -141,7 +141,7 @@ def solve_sequence_gate() -> str:
                         tdlab.tree_depth(g))
                 digest.update(f"{tdlab.to_graph6(g)} {w} {at} {below} {back}\n".encode())
                 count += 1
-    return f"solve sequence G(n, m) 10<=n<=15: {count} graphs {digest.hexdigest()}"
+    return f"solve sequence G(n, m) {sizes[0]}<=n<={sizes[-1]}: {count} graphs {digest.hexdigest()}"
 
 
 def canonical_gate() -> str:
@@ -278,7 +278,8 @@ def code_lines(package: Path) -> int:
 
 def main() -> None:
     graph_gates = [report_gate(), random_report_gate(), family_report_gate(), spanning_subgraph_gate(),
-                   solve_sequence_gate(), canonical_gate(), graph6_gate(), induced_gate()]
+                   solve_sequence_gate(), solve_sequence_gate(range(16, 19), 1618), canonical_gate(),
+                   graph6_gate(), induced_gate()]
     for line in labeling_gates() + graph_gates + search_gates() + [stream_gate(), ledger_gate()]:
         print(line)
     print(f"code lines in the tdlab package: {code_lines(Path(tdlab.__file__).parent)}")
