@@ -3,12 +3,13 @@
 tree_depth(g) follows the recursive characterization: an empty graph has
 depth 0, a disconnected graph takes the maximum over its components, and a
 connected graph costs 1 plus the best vertex deletion. The recursion is
-memoized on vertex-subset bitmasks, with five exact shortcuts:
+memoized on vertex-subset bitmasks, with four exact rules:
 
-* a connected subset of size <= 2 has depth equal to its size;
 * a subset with a universal vertex v satisfies td(S) = 1 + td(S - v),
   because v's label must differ from every other label in any feasible
-  labeling of S, so deleting v first is always optimal;
+  labeling of S, so deleting v first is always optimal. The lowest vertex
+  of a connected set of one or two vertices is universal, so this rule
+  gives such a set its size as depth;
 * the scan over the vertices v of a connected subset S stops once the
   depths td(S - v) seen so far include both T - 1 and T, where T = td(S).
   Every td(S - v) lies in {T - 1, T}: td(S - v) <= T because S - v is a
@@ -18,15 +19,28 @@ memoized on vertex-subset bitmasks, with five exact shortcuts:
   the children already in the memo first, in ascending order, and solves
   the others afterwards in the same order, so a memo that already shows
   T - 1 and T ends it without a new solve;
-* the scan also stops at the first child S - x of depth |S| - 2 when
-  g[S] has no 3K1 and no induced 2K2 through x, for then T = |S| - 1;
-* and at a child S - x of depth |S| - 3 when g[S] has no induced 4K1,
-  2K2+K1, P3+K2 or 2K3 through x, for then T = |S| - 2.
+* the scan ends at the first child S - x of depth d >= |S| - 3. Here x
+  is not universal in S, for the walk tests each vertex for that before it
+  reads the vertex's child, and the solve loop runs after the walk. Let
+  k = |S| - 1 - d. At k = 0, S - x is complete and x misses a vertex of
+  S, so T = d;
+* at k = 1 or 2, T = d + 1 if g[S] holds no member of F_k through x, and
+  T = d otherwise: _settle, with the tests below.
 
-The fourth rule rests on the surplus-one lemma, the F_1 case of
-families.FORBIDDEN_LISTS: td(S) >= |S| - 1 iff g[S] has no induced 3K1
-and no induced 2K2, that is, iff the complement of g[S] has no triangle
-and no 4-cycle (a 4-cycle with a chord holds a triangle).
+The last two rules use each surplus lemma both ways. By the rule before
+them, T is d or d + 1 for every child depth d. The surplus-k lemma says
+td(S) >= |S| - k iff g[S] holds no induced member of F_k, the list
+families.FORBIDDEN_LISTS[k]; F_0 = {2K1}, for td = n iff the graph is
+complete. S - x has surplus |S - x| - d = k, so it holds no member of F_k,
+and g[S] holds one iff it holds one through x. If it holds none, T >=
+|S| - k = d + 1; if it holds one, T <= |S| - k - 1 = d. So the pattern
+tests through x, _no_f1_through and _no_f2_through, must be exact in both
+directions: a false "pattern found" gives a wrong depth, not only a
+longer scan.
+
+The surplus-one lemma, the F_1 case: td(S) >= |S| - 1 iff g[S] has no
+induced 3K1 and no induced 2K2, that is, iff the complement of g[S] has
+no triangle and no 4-cycle (a 4-cycle with a chord holds a triangle).
 
 * If td(S) <= |S| - 2: while the set is connected, delete the root of an
   optimal forest of it. Each deletion lowers td by exactly one, so the
@@ -41,18 +55,14 @@ and no 4-cycle (a 4-cycle with a chord holds a triangle).
   of S but an induced 3K1 (td 1) or 2K2 (td 2) shows td(S) <= (|S| - 3) + 1
   or (|S| - 4) + 2.
 
-By the lemma, a child S - x of depth |S| - 2 = |S - x| - 1 holds no 3K1 or
-induced 2K2, so g[S] holds one iff it holds one through x. _no_f1_through
-answers that in one pass over S - x: x's non-neighbours must form a clique
-(else x and two of them form a 3K1), and no neighbour y of x may miss two
-of them (else xy and the edge between those two form a 2K2); that is, no
-vertex of S - x misses two of x's non-neighbours, counting itself as
-missed. If g[S] holds none, td(S) >= |S| - 1 = 1 + td(S - x), which the
-scan has already reached; if it holds one, td(S) <= |S| - 2 and the scan
-goes on.
+_no_f1_through asks whether g[S] holds a 3K1 or an induced 2K2 through x
+in one pass over S - x: x's non-neighbours must form a clique (else x and
+two of them form a 3K1), and no neighbour y of x may miss two of them
+(else xy and the edge between those two form a 2K2); that is, no vertex
+of S - x misses two of x's non-neighbours, counting itself as missed.
 
-The fifth rule rests on the surplus-two lemma, the F_2 case: td(S) >=
-|S| - 2 iff g[S] has no induced 4K1, 2K2+K1, P3+K2 or 2K3.
+The surplus-two lemma, the F_2 case: td(S) >= |S| - 2 iff g[S] has no
+induced 4K1, 2K2+K1, P3+K2 or 2K3.
 
 * If td(S) <= |S| - 3, delete optimal roots while the set is connected, as
   above; the surplus stays >= 3, and a disconnected set D with surplus >= 3
@@ -75,25 +85,20 @@ The fifth rule rests on the surplus-two lemma, the F_2 case: td(S) >=
   and 3), and each deleted vertex adds at most one level, so a pattern in
   g[S] shows td(S) <= (|S| - |P|) + (|P| - 3) = |S| - 3.
 
-A child S - x of depth |S| - 3 = |S - x| - 2 holds none of the four, so
-g[S] holds one iff it holds one through x, and if it holds none, td(S) =
-|S| - 2 = 1 + td(S - x). _no_f2_through looks at each place x can take.
-Let far be x's non-neighbours in S. Where x is the K1 of a 4K1 or a
-2K2+K1, the rest is a 3K1 or a 2K2 in far, so g[far] must hold neither
-(the surplus-one test at each vertex of far in turn). Every other place
-puts a neighbour y of x next to x in the pattern; let fy be the vertices
-of far that y misses too. An xy edge of a 2K2+K1 or a P3+K2 needs an
-induced K2+K1 or P3 in fy, so fy must be a clique or edgeless (with no
-P3 its components are cliques, and with no K2+K1 an edge leaves no other
-component). An edgeless fy has at most two vertices, since far holds no
-3K1, and every remaining place needs an edge in fy. With fy a clique, a
-P3 x-y-z (z in far) or y-x-z (z a neighbour of x that misses y) ends a
-P3+K2 iff z misses two vertices of fy, an edge; a triangle xyz ends a
-2K3 iff z misses three vertices of fy, a triangle. The scan runs this
-test at most once per subset: the memo walk notes the first x whose
-child has depth |S| - 3 and tests it after the walk only if a child is
-still unsolved, and the solve loop tests the child that first brings
-best to |S| - 2.
+_no_f2_through asks whether g[S] holds one of the four through x, when
+S - x holds none, by looking at each place x can take. Let far be x's
+non-neighbours in S. Where x is the K1 of a 4K1 or a 2K2+K1, the rest is
+a 3K1 or a 2K2 in far, so g[far] must hold neither (the surplus-one test
+at each vertex of far in turn). Every other place puts a neighbour y of
+x next to x in the pattern; let fy be the vertices of far that y misses
+too. An xy edge of a 2K2+K1 or a P3+K2 needs an induced K2+K1 or P3 in
+fy, so fy must be a clique or edgeless (with no P3 its components are
+cliques, and with no K2+K1 an edge leaves no other component). An
+edgeless fy has at most two vertices, since far holds no 3K1, and every
+remaining place needs an edge in fy. With fy a clique, a P3 x-y-z (z in
+far) or y-x-z (z a neighbour of x that misses y) ends a P3+K2 iff z
+misses two vertices of fy, an edge; a triangle xyz ends a 2K3 iff z
+misses three vertices of fy, a triangle.
 
 Every memo entry is exact; the early exits only leave some subsets unsolved.
 This one recursion answers every question; tree_depth_decision(g, k)
@@ -197,18 +202,13 @@ class _SubsetSolver:
     def _td_connected(self, mask: int, hi: int = 0) -> int:
         """td of a connected subset, given a lower bound ``hi`` on it."""
         size = mask.bit_count()
-        if size <= 2:
-            return size
         adj, memo = self.adj, self.memo
         # best = 1 + min td(S - v) >= td(S) >= max(hi, max td(S - v)), so
         # the scan is done as soon as best <= hi. One walk looks for a
         # universal vertex and reads the children already in the memo; the
         # children it had to skip are solved afterwards, in the same order.
-        # The first child of depth size - 2 makes best = size - 1, and the
-        # surplus-one test through its vertex may end the scan there. The
-        # first child S - x of depth size - 3 makes best = size - 2, and the
-        # surplus-two test through x may end it there; the walk only notes x,
-        # and tests it after the walk if a child is left to solve.
+        # The first child of depth >= size - 3 settles td(S) by a surplus
+        # test through its vertex.
         best = size
         unsolved = []
         rest = mask
@@ -226,26 +226,32 @@ class _SubsetSolver:
                 hi = depth
             if depth + 1 < best:
                 best = depth + 1
-                if best <= hi or best == size - 1 and _no_f1_through(adj, mask, low):
-                    return best
-                if best == size - 2:
-                    x = low
-            elif best <= hi:
+            if best <= hi:
                 return best
-        if unsolved and best == size - 2 and _no_f2_through(adj, mask, x):
-            return best
+            if depth >= size - 3:
+                return _settle(adj, mask, low, depth)
         for child in unsolved:
             depth = self.td(child)
             if depth > hi:
                 hi = depth
             if depth + 1 < best:
                 best = depth + 1
-                if (best <= hi or best == size - 1 and _no_f1_through(adj, mask, mask ^ child)
-                        or best == size - 2 and _no_f2_through(adj, mask, mask ^ child)):
-                    break
-            elif best <= hi:
-                break
+            if best <= hi:
+                return best
+            if depth >= size - 3:
+                return _settle(adj, mask, mask ^ child, depth)
         return best
+
+
+def _settle(adj: Sequence[int], mask: int, bit: int, depth: int) -> int:
+    """td of a connected subset S, given the depth of its child S - x, where
+    x is the vertex ``bit``, not universal in S, and depth >= |S| - 3. With
+    k = |S| - 1 - depth, td(S) is depth + 1 if S holds no F_k member through
+    x, else depth (module docstring)."""
+    k = mask.bit_count() - 1 - depth
+    if k == 1 and _no_f1_through(adj, mask, bit) or k == 2 and _no_f2_through(adj, mask, bit):
+        return depth + 1
+    return depth
 
 
 def _no_f1_through(adj: Sequence[int], mask: int, bit: int) -> bool:

@@ -36,8 +36,8 @@ import tdlab
 from tdlab import criticality as criticality_module
 from tdlab import solver as solver_module
 from tdlab.criticality import _MinorTable
-from tdlab.graphs import bits
-from tdlab.solver import MAX_VERTICES, _no_f1_through, _no_f2_through, _solver_for, _SubsetSolver
+from tdlab.graphs import bits, mask_components
+from tdlab.solver import MAX_VERTICES, _no_f1_through, _no_f2_through, _settle, _solver_for, _SubsetSolver
 
 from oracles import (
     disjoint_union,
@@ -214,13 +214,37 @@ def test_surplus_two_check_matches_the_forbidden_list():
     assert checked > 5000 and alone == set(FORBIDDEN_LISTS[2])
 
 
+def test_settle_matches_the_shortcut_free_recursion():
+    # for every connected subset S of every graph with n <= 7 and every
+    # vertex x of S that is not universal in S, with d = td(S - x) >= |S| - 3:
+    # _settle must give td(S). At k = |S| - 1 - d = 1 and 2 both outcomes,
+    # d and d + 1, must occur; at k = 0, S - x is complete and x is not
+    # universal, so td(S) = d every time
+    outcomes = {0: set(), 1: set(), 2: set()}
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            td = ref_tree_depth_dp(n, g.edges())
+            for mask in range(1, 1 << n):
+                if len(mask_components(g.adj, mask)) > 1:
+                    continue
+                size = mask.bit_count()
+                for x in bits(mask):
+                    d = td(frozenset(bits(mask ^ 1 << x)))
+                    if g.adj[x] & mask == mask ^ 1 << x or d < size - 3:
+                        continue
+                    got = _settle(g.adj, mask, 1 << x, d)
+                    assert got == td(frozenset(bits(mask))), (to_graph6(g), mask, x)
+                    outcomes[size - 1 - d].add(got - d)
+    assert outcomes == {0: {0}, 1: {0, 1}, 2: {0, 1}}
+
+
 def test_memos_are_exact_where_the_surplus_two_bound_fires():
     # dense G(n, m) graphs hold many subsets of surplus two, where the
-    # surplus-two check ends the scan; every memo entry against the
+    # surplus-two test settles the scan; every memo entry against the
     # shortcut-free recursion
     rng = random.Random(2411)
     entries = 0
-    for n in range(11, 14):
+    for n in range(11, 15):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for p in (0.5, 0.7, 0.8):
             for _ in range(2):
@@ -243,8 +267,8 @@ def _read_in(solver, to):
 
 
 def test_memos_are_exact_where_the_surplus_one_bound_fires(monkeypatch):
-    # co-C10, co-C12 and G_12 have td n - 1, so the surplus-one check ends
-    # most scans of their minors. Every memo entry of a report's parent
+    # co-C10, co-C12, co-C14 and G_12 have td n - 1, so the surplus-one
+    # test settles most scans of their minors. Every memo entry of a report's parent
     # solver and of each minor solver it builds, for each graph as built and
     # under two seeded relabelings, against the shortcut-free recursion. A
     # solver is read back in the built numbering, turned by the rotation
@@ -261,7 +285,7 @@ def test_memos_are_exact_where_the_surplus_one_bound_fires(monkeypatch):
     refs: dict = {}
     rng = random.Random(73)
     entries = 0
-    for g in (cycle_complement(10), cycle_complement(12), g4k(3)):
+    for g in (cycle_complement(10), cycle_complement(12), cycle_complement(14), g4k(3)):
         n = g.n
         turns = [r for r in ([(v + k) % n for v in range(n)] for k in range(n)) if g.relabeled(r) == g]
         for perm in [list(range(n))] + [rng.sample(range(n), n) for _ in range(2)]:

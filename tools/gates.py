@@ -111,6 +111,19 @@ def family_report_gate() -> str:
     return f"criticality_report co-C8..co-C16, g4k(2..4): {len(graphs)} graphs {_report_digest(graphs)}"
 
 
+def large_report_gate() -> str:
+    """The reports of And(5), And(6), H7, H8, co-C14, the 7-net and the K6
+    prism (12 <= n <= 17), each as built and under two seeded relabelings:
+    minor tables larger than the other report gates reach."""
+    rng = random.Random(1217)
+    graphs: list[tdlab.Graph] = []
+    for g in (tdlab.andrasfai(5), tdlab.andrasfai(6), tdlab.h_graph(7), tdlab.h_graph(8),
+              tdlab.cycle_complement(14), tdlab.k_net(7), tdlab.clique_prism(6)):
+        graphs += [g] + [g.relabeled(rng.sample(range(g.n), g.n)) for _ in range(2)]
+    return (f"criticality_report And(5..6), H7, H8, co-C14, 7-net, K6 prism, 3 labelings each: "
+            f"{len(graphs)} graphs {_report_digest(graphs)}")
+
+
 def spanning_subgraph_gate() -> str:
     """The graph6 of critical_spanning_subgraph(g) for every graph with
     n <= 7 and for the family graphs."""
@@ -277,9 +290,9 @@ def code_lines(package: Path) -> int:
 
 
 def main() -> None:
-    graph_gates = [report_gate(), random_report_gate(), family_report_gate(), spanning_subgraph_gate(),
-                   solve_sequence_gate(), solve_sequence_gate(range(16, 19), 1618), canonical_gate(),
-                   graph6_gate(), induced_gate()]
+    graph_gates = [report_gate(), random_report_gate(), family_report_gate(), large_report_gate(),
+                   spanning_subgraph_gate(), solve_sequence_gate(), solve_sequence_gate(range(16, 19), 1618),
+                   canonical_gate(), graph6_gate(), induced_gate()]
     for line in labeling_gates() + graph_gates + search_gates() + [stream_gate(), ledger_gate()]:
         print(line)
     print(f"code lines in the tdlab package: {code_lines(Path(tdlab.__file__).parent)}")
