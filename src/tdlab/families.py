@@ -3,7 +3,9 @@ machinery for small surplus.
 
 F_k is the minimal forbidden-induced-subgraph list characterizing
 td(g) >= n - k: a graph on n vertices satisfies the bound iff it contains no
-member of F_k as an induced subgraph (implemented for k = 0, 1, 2).
+member of F_k as an induced subgraph (implemented for k = 0, 1, 2). Its
+members are the minimal graphs of surplus k + 1, which the component lemma
+in the solver docstring describes.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ PATTERNS: dict[str, tuple[int, list[tuple[int, int]]]] = {
     "2K3": (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
 }
 
+# F_k for k = 0, 1, 2. By the component lemma (solver module docstring), F_k
+# holds the disjoint unions of t + k + 1 vertices in which at least two
+# components have the greatest depth t; each component has at most k + 1.
 FORBIDDEN_LISTS: dict[int, tuple[str, ...]] = {
     0: ("2K1",),
     1: ("3K1", "2K2"),

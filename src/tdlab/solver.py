@@ -3,7 +3,7 @@
 tree_depth(g) follows the recursive characterization: an empty graph has
 depth 0, a disconnected graph takes the maximum over its components, and a
 connected graph costs 1 plus the best vertex deletion. The recursion is
-memoized on vertex-subset bitmasks, with four exact rules:
+memoized on vertex-subset bitmasks, with three exact rules:
 
 * a subset with a universal vertex v satisfies td(S) = 1 + td(S - v),
   because v's label must differ from every other label in any feasible
@@ -19,71 +19,86 @@ memoized on vertex-subset bitmasks, with four exact rules:
   the children already in the memo first, in ascending order, and solves
   the others afterwards in the same order, so a memo that already shows
   T - 1 and T ends it without a new solve;
-* the scan ends at the first child S - x of depth d >= |S| - 3. Here x
-  is not universal in S, for the walk tests each vertex for that before it
-  reads the vertex's child, and the solve loop runs after the walk. Let
-  k = |S| - 1 - d. At k = 0, S - x is complete and x misses a vertex of
-  S, so T = d;
-* at k = 1 or 2, T = d + 1 if g[S] holds no member of F_k through x, and
-  T = d otherwise: _settle, with the tests below.
+* the scan ends at the first child S - x whose surplus k = |S| - 1 - d,
+  with d = td(S - x), is at most 2 or at most d. Here x is not universal
+  in S, for the walk tests each vertex for that before it reads the
+  vertex's child, and the solve loop runs after the walk. By the rule
+  before, T is d or d + 1, and _settle decides which by one search
+  through x (the settle rule below).
 
-The last two rules use each surplus lemma both ways. By the rule before
-them, T is d or d + 1 for every child depth d. The surplus-k lemma says
-td(S) >= |S| - k iff g[S] holds no induced member of F_k, the list
-families.FORBIDDEN_LISTS[k]; F_0 = {2K1}, for td = n iff the graph is
-complete. S - x has surplus |S - x| - d = k, so it holds no member of F_k,
-and g[S] holds one iff it holds one through x. If it holds none, T >=
-|S| - k = d + 1; if it holds one, T <= |S| - k - 1 = d. So the pattern
-tests through x, _no_f1_through and _no_f2_through, must be exact in both
-directions: a false "pattern found" gives a wrong depth, not only a
-longer scan.
+The surplus of a graph is its order less its depth. Deleting a vertex
+lowers the order by one and td by at most one, so the surplus drops by 0
+or 1: it is monotone under induced subgraphs. Call a graph M of surplus
+>= k + 1 minimal when each proper induced subgraph has surplus <= k; then
+M has surplus k + 1, and no vertex deletion lowers td(M).
 
-The surplus-one lemma, the F_1 case: td(S) >= |S| - 1 iff g[S] has no
-induced 3K1 and no induced 2K2, that is, iff the complement of g[S] has
-no triangle and no 4-cycle (a 4-cycle with a chord holds a triangle).
+The component lemma: a minimal graph M of surplus k + 1 is a disjoint
+union in which at least two components have depth t = td(M), so each of
+its components has at most k + 1 vertices.
 
-* If td(S) <= |S| - 2: while the set is connected, delete the root of an
-  optimal forest of it. Each deletion lowers td by exactly one, so the
-  surplus |S| - td(S) stays >= 2, and a connected set of two vertices has
-  surplus 0, so a disconnected set D with surplus >= 2 is reached. With
-  three components, D holds a 3K1. With two, C and C', td(C) >= td(C'):
-  if |C'| = 1, then |C| - td(C) >= 1, so C is not complete and two
-  non-adjacent vertices of C with C' form a 3K1; if |C'| >= 2, then
-  td(C) >= 2, so both components have an edge, and the two edges form an
-  induced 2K2.
-* Conversely, each deleted vertex adds at most one level, so deleting all
-  of S but an induced 3K1 (td 1) or 2K2 (td 2) shows td(S) <= (|S| - 3) + 1
-  or (|S| - 4) + 2.
+* A connected graph has a vertex whose deletion lowers its depth, the
+  root of an optimal forest, and so does a union in which one component
+  alone has depth t: that component's root. So two components of M have
+  depth t, and each has at least t vertices. M has t + k + 1 vertices, so
+  each component, which misses one of those two, has at most k + 1.
+* Conversely, a disjoint union of t + k + 1 vertices with two components
+  of depth t is minimal: deleting any vertex leaves one of the two, so td
+  stays t and the surplus falls to k.
+
+F_k, the list families.FORBIDDEN_LISTS[k], holds the minimal graphs of
+surplus k + 1, so a graph has td <= |S| - k - 1 iff it holds a member of
+F_k as an induced subgraph (a least induced subgraph of surplus >= k + 1
+is minimal). By the lemma, since 2t <= t + k + 1: F_0 = {2K1}; F_1 =
+{3K1, 2K2} (t = 1, 2); F_2 = {4K1, 2K2+K1, P3+K2, 2K3}, where t = 2 takes
+K2 and P3, the connected graphs of depth 2 on at most three vertices, and
+t = 3 takes K3.
+
+The settle rule: let S be connected, x not universal in S, d = td(S - x)
+and k = |S| - 1 - d, the surplus of S - x. Then T = d iff some connected
+C through x with |C| <= k + 1 has |C| + |F| - max(td C, td F) >= k + 1,
+where F = S - N[C] holds the vertices of S with no neighbour in C.
+
+* (<=) g[C + F] = g[C] + g[F] is an induced subgraph of g[S] of surplus
+  >= k + 1, and surplus is monotone, so T <= |S| - k - 1 = d.
+* (=>) T = d means g[S] has surplus k + 1, so it holds a minimal induced
+  M of surplus k + 1. M contains x, because S - x has surplus k. By the
+  lemma x's component C in M has at most k + 1 vertices; the rest of M
+  has no vertex in N[C], so it lies in F, and M is an induced subgraph of
+  g[C + F].
+
+_certificate looks for such a C. It grows C from {x} by extension sets
+(Wernicke, "Efficient detection of network motifs", 2006), so it meets
+each connected set through x once: it branches on each vertex w of the
+candidate set ext and gives the child the rest of ext plus the neighbours
+of w in F. C stops growing at k + 1 vertices and once |F| < 2: a larger
+C has td >= 2, so it needs |F| >= td C >= 2, and F only shrinks as C
+grows. With slack = |C| + |F| - (k + 1), a C is turned down without a
+solve when slack is below td of the set it grew from, a lower bound on
+td C; td C is solved only when slack < |C|, and td F last. Both are
+strict subsets of S (|C| <= k + 1 < |S|, since d >= 1, and F misses x),
+so the recursion answers them exactly and every memo entry stays exact.
+
+_settle applies the rule. At k = 0, S - x is complete and x misses some
+vertex y, so C = {x} and F = {y} give T = d with no search. At k = 1 and
+2, S - x holds no member of F_k, so g[S] holds one iff it holds one
+through x, and the pattern tests _no_f1_through and _no_f2_through below
+answer that; the search would answer the same, but on the n = 7 census
+screens it took the census-n7 benchmark's median item from 0.060 to
+0.071 ms. At k >= 3, _certificate. Each test must be exact in both
+directions: a false "found" gives a wrong depth, not only a longer scan.
+
+The rule holds for every k, but the scan settles only at a child with
+k <= 2 or k <= d, that is 2d >= |S| - 1, because the search costs most
+where d is small against |S|: with every child settled, one seeded
+G(22, m) at p = .15 took 0.67 s in place of 0.014 s, for its searches at
+k = 7..9 mostly find no C and walk 1.3 million connected sets in all
+(2-core Xeon VM, Python 3.11).
 
 _no_f1_through asks whether g[S] holds a 3K1 or an induced 2K2 through x
 in one pass over S - x: x's non-neighbours must form a clique (else x and
 two of them form a 3K1), and no neighbour y of x may miss two of them
 (else xy and the edge between those two form a 2K2); that is, no vertex
 of S - x misses two of x's non-neighbours, counting itself as missed.
-
-The surplus-two lemma, the F_2 case: td(S) >= |S| - 2 iff g[S] has no
-induced 4K1, 2K2+K1, P3+K2 or 2K3.
-
-* If td(S) <= |S| - 3, delete optimal roots while the set is connected, as
-  above; the surplus stays >= 3, and a disconnected set D with surplus >= 3
-  is reached. Let C be a deepest component of D, so td(D) = td(C). With
-  four or more components, one vertex of each forms a 4K1. With three, a
-  component that is not a clique gives two non-adjacent vertices, and one
-  vertex of each other component completes a 4K1. If all three are
-  cliques, td(D) = |C| is the largest size, the other two have at least
-  three vertices together, so C and one other hold an edge each, and the
-  third gives the K1 of a 2K2+K1. With two components, C and C':
-  if |C'| = 1, C has surplus >= 2, so by the surplus-one lemma it holds a
-  3K1 or a 2K2, and the vertex of C' makes a 4K1 or a 2K2+K1. If C' is
-  an edge, C has surplus >= 1 and is not a clique, so, being connected, it
-  holds an induced P3, and with C' a P3+K2. If |C'| >= 3 and C' is not a
-  clique, C' holds an induced P3 and C, with td(C) >= td(C') >= 2, an
-  edge: a P3+K2. If C' is a clique, td(C) >= |C'| >= 3; a C that is not a
-  clique holds a P3 to go with an edge of C', and a clique C holds a
-  triangle to go with one of C': a P3+K2 or a 2K3.
-* Conversely, each of the four patterns P has td(P) = |P| - 3 (1, 2, 2
-  and 3), and each deleted vertex adds at most one level, so a pattern in
-  g[S] shows td(S) <= (|S| - |P|) + (|P| - 3) = |S| - 3.
 
 _no_f2_through asks whether g[S] holds one of the four through x, when
 S - x holds none, by looking at each place x can take. Let far be x's
@@ -130,7 +145,8 @@ path joins them whose inner vertices all lie in D (the neighbourhood of
 each component of g[D] becomes a clique, then D is deleted). h stays in
 g's vertex numbering with its dropped set D (empty for an edge deletion,
 the merged-away vertex for a contraction) out of every mask. A subset S
-that h and g induce alike is solved by g's solver. Any other S starts its
+that h and g induce alike is solved by g's solver; so are the sets C and
+F of an inherited _settle, which asks h's own td. Any other S starts its
 scan with hi = td_g(S + D) - max(1, td_g(D)) in place of 0, when g's memo
 holds td_g(S + D); then the scan stops as soon as 1 + min td_h(S - x)
 reaches it. The floor holds because td(h[S]) >= td(g[S + D]) -
@@ -207,8 +223,10 @@ class _SubsetSolver:
         # the scan is done as soon as best <= hi. One walk looks for a
         # universal vertex and reads the children already in the memo; the
         # children it had to skip are solved afterwards, in the same order.
-        # The first child of depth >= size - 3 settles td(S) by a surplus
-        # test through its vertex.
+        # The first child S - x whose surplus k = size - 1 - depth is at most
+        # 2 or at most its depth, that is depth >= min(size - 3, size // 2),
+        # settles td(S) by one search through x.
+        settle_from = min(size - 3, size // 2)
         best = size
         unsolved = []
         rest = mask
@@ -228,8 +246,8 @@ class _SubsetSolver:
                 best = depth + 1
             if best <= hi:
                 return best
-            if depth >= size - 3:
-                return _settle(adj, mask, low, depth)
+            if depth >= settle_from:
+                return self._settle(mask, low, depth)
         for child in unsolved:
             depth = self.td(child)
             if depth > hi:
@@ -238,20 +256,55 @@ class _SubsetSolver:
                 best = depth + 1
             if best <= hi:
                 return best
-            if depth >= size - 3:
-                return _settle(adj, mask, mask ^ child, depth)
+            if depth >= settle_from:
+                return self._settle(mask, mask ^ child, depth)
         return best
 
+    def _settle(self, mask: int, bit: int, depth: int) -> int:
+        """td of a connected subset S, given the depth of its child S - x,
+        where x is the vertex ``bit`` and not universal in S. With
+        k = |S| - 1 - depth, td(S) is depth if S has surplus k + 1, which
+        some induced subgraph through x then shows, else depth + 1 (module
+        docstring)."""
+        k = mask.bit_count() - 1 - depth
+        if k == 1:
+            free = _no_f1_through(self.adj, mask, bit)
+        elif k == 2:
+            free = _no_f2_through(self.adj, mask, bit)
+        else:
+            free = k and not self._certificate(mask, bit, k + 1)
+        return depth + 1 if free else depth
 
-def _settle(adj: Sequence[int], mask: int, bit: int, depth: int) -> int:
-    """td of a connected subset S, given the depth of its child S - x, where
-    x is the vertex ``bit``, not universal in S, and depth >= |S| - 3. With
-    k = |S| - 1 - depth, td(S) is depth + 1 if S holds no F_k member through
-    x, else depth (module docstring)."""
-    k = mask.bit_count() - 1 - depth
-    if k == 1 and _no_f1_through(adj, mask, bit) or k == 2 and _no_f2_through(adj, mask, bit):
-        return depth + 1
-    return depth
+    def _certificate(self, mask: int, bit: int, need: int) -> int:
+        """A connected set C through the vertex ``bit`` of at most ``need``
+        vertices such that C and F, the vertices of the subset with no
+        neighbour in C, induce a graph of surplus >= ``need``; 0 if there is
+        none (module docstring)."""
+        near = self.adj[bit.bit_length() - 1] & mask
+        return self._grow(bit, near, mask & ~near ^ bit, need, 1)
+
+    def _grow(self, c: int, ext: int, far: int, need: int, floor: int) -> int:
+        """_certificate's search among the connected sets that grow ``c`` by
+        vertices of ``ext`` and of the neighbours they bring in from ``far``,
+        the subset less N[c]. Each set is met once. ``floor`` <= td(c)."""
+        size = c.bit_count()
+        slack = size + far.bit_count() - need
+        if slack >= floor:
+            if slack < size:
+                floor = self.td(c)
+            if floor <= slack and self.td(far) <= slack:
+                return c
+        if size == need or not far & (far - 1):
+            return 0  # a larger C has td >= 2 and needs |F| >= 2
+        adj = self.adj
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            near = adj[low.bit_length() - 1]
+            found = self._grow(c | low, ext | near & far, far & ~near, need, floor)
+            if found:
+                return found
+        return 0
 
 
 def _no_f1_through(adj: Sequence[int], mask: int, bit: int) -> bool:

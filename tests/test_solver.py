@@ -1,3 +1,4 @@
+import collections
 import gc
 import math
 import os
@@ -37,7 +38,7 @@ from tdlab import criticality as criticality_module
 from tdlab import solver as solver_module
 from tdlab.criticality import _MinorTable
 from tdlab.graphs import bits, mask_components
-from tdlab.solver import MAX_VERTICES, _no_f1_through, _no_f2_through, _settle, _solver_for, _SubsetSolver
+from tdlab.solver import MAX_VERTICES, _no_f1_through, _no_f2_through, _solver_for, _SubsetSolver
 
 from oracles import (
     disjoint_union,
@@ -214,36 +215,101 @@ def test_surplus_two_check_matches_the_forbidden_list():
     assert checked > 5000 and alone == set(FORBIDDEN_LISTS[2])
 
 
+def _settle_cases(g, td):
+    """(S, x, d) for every connected subset S of g and every vertex x that is
+    not universal in S, with d = td(S - x) from the reference ``td``."""
+    for mask in range(1, 1 << g.n):
+        if len(mask_components(g.adj, mask)) > 1:
+            continue
+        for x in bits(mask):
+            if g.adj[x] & mask != mask ^ 1 << x:
+                yield mask, x, td(frozenset(bits(mask ^ 1 << x)))
+
+
 def test_settle_matches_the_shortcut_free_recursion():
-    # for every connected subset S of every graph with n <= 7 and every
-    # vertex x of S that is not universal in S, with d = td(S - x) >= |S| - 3:
-    # _settle must give td(S). At k = |S| - 1 - d = 1 and 2 both outcomes,
-    # d and d + 1, must occur; at k = 0, S - x is complete and x is not
-    # universal, so td(S) = d every time
-    outcomes = {0: set(), 1: set(), 2: set()}
+    # every connected subset S of every graph with n <= 7, every vertex x of
+    # S that is not universal in S, d = td(S - x) and k = |S| - 1 - d. Where
+    # the scan settles (k <= 2 or k <= d), _settle must give td(S); at every
+    # k >= 1 the certificate search through x must find a C iff td(S) = d,
+    # and at k = 1 and 2 agree with the pattern tests. Both outcomes, d and
+    # d + 1, must occur at k = 1, 2 and 3; at k = 0, S - x is complete and x
+    # is not universal, so td(S) = d every time
+    settled = {k: set() for k in range(4)}
+    pattern_free = {1: _no_f1_through, 2: _no_f2_through}
     for n in range(1, 8):
         for g in enumerate_graphs(n):
             td = ref_tree_depth_dp(n, g.edges())
-            for mask in range(1, 1 << n):
-                if len(mask_components(g.adj, mask)) > 1:
-                    continue
-                size = mask.bit_count()
-                for x in bits(mask):
-                    d = td(frozenset(bits(mask ^ 1 << x)))
-                    if g.adj[x] & mask == mask ^ 1 << x or d < size - 3:
-                        continue
-                    got = _settle(g.adj, mask, 1 << x, d)
-                    assert got == td(frozenset(bits(mask))), (to_graph6(g), mask, x)
-                    outcomes[size - 1 - d].add(got - d)
-    assert outcomes == {0: {0}, 1: {0, 1}, 2: {0, 1}}
+            solver = _SubsetSolver(g.adj)
+            for mask, x, d in _settle_cases(g, td):
+                k = mask.bit_count() - 1 - d
+                exact = td(frozenset(bits(mask)))
+                where = (to_graph6(g), mask, x)
+                if k <= 2 or k <= d:
+                    got = solver._settle(mask, 1 << x, d)
+                    assert got == exact, where
+                    settled[k].add(got - d)
+                if k:
+                    found = bool(solver._certificate(mask, 1 << x, k + 1))
+                    assert found == (exact == d), where
+                if k in pattern_free:
+                    assert found != pattern_free[k](g.adj, mask, 1 << x), where
+    assert settled == {0: {0}, 1: {0, 1}, 2: {0, 1}, 3: {0, 1}}
 
 
-def test_memos_are_exact_where_the_surplus_two_bound_fires():
+def test_certificate_search_matches_the_shortcut_free_recursion_past_seven_vertices():
+    # seeded G(n, m) with n = 8..10, where F_3 gains 2K4 and F_4, F_5 gain
+    # members with components of five and six vertices: for every connected
+    # S, non-universal x and k = 3..5, the certificate search finds a C iff
+    # td(S) = d, and _settle gives td(S) where the scan settles. Both outcomes
+    # must occur at each k. In 2K4 joined to a ninth vertex, S - x has k = 3
+    # for x in a K4, and only that whole K4 certifies
+    rng = random.Random(2612)
+    graphs = [Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if v == 8 or u // 4 == v // 4])]
+    for n in (8, 9, 10):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs += [Graph.from_edges(n, rng.sample(pairs, round(p * len(pairs)))) for p in (0.2, 0.3, 0.5) for _ in range(3)]
+    outcomes = {3: set(), 4: set(), 5: set()}
+    for g in graphs:
+        td = ref_tree_depth_dp(g.n, g.edges())
+        solver = _SubsetSolver(g.adj)
+        for mask, x, d in _settle_cases(g, td):
+            k = mask.bit_count() - 1 - d
+            if k not in outcomes:
+                continue
+            exact = td(frozenset(bits(mask)))
+            where = (to_graph6(g), mask, x)
+            found = solver._certificate(mask, 1 << x, k + 1)
+            assert bool(found) == (exact == d), where
+            if k <= d:
+                assert solver._settle(mask, 1 << x, d) == exact, where
+            outcomes[k].add(exact - d)
+    assert outcomes == {3: {0, 1}, 4: {0, 1}, 5: {0, 1}}
+
+
+def _recorded_settles(monkeypatch):
+    """Count every _settle call by (k, outcome): k = |S| - 1 - d for the
+    child depth d it gets, outcome = td(S) - d, 0 or 1."""
+    counts = collections.Counter()
+    settle = _SubsetSolver._settle
+
+    def recording(solver, mask, bit, depth):
+        got = settle(solver, mask, bit, depth)
+        counts[mask.bit_count() - 1 - depth, got - depth] += 1
+        return got
+
+    monkeypatch.setattr(_SubsetSolver, "_settle", recording)
+    return counts
+
+
+def test_memos_are_exact_where_the_surplus_two_bound_fires(monkeypatch):
     # dense G(n, m) graphs hold many subsets of surplus two, where the
-    # surplus-two test settles the scan; every memo entry against the
-    # shortcut-free recursion
+    # surplus-two test settles the scan. After each solve, _settle is also
+    # asked at every other non-universal x of each solved connected subset,
+    # since the scan settles at one child only. Then every memo entry
+    # against the shortcut-free recursion. The floor counts the _settle
+    # calls, per (k, outcome)
+    settles = _recorded_settles(monkeypatch)
     rng = random.Random(2411)
-    entries = 0
     for n in range(11, 15):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for p in (0.5, 0.7, 0.8):
@@ -253,9 +319,14 @@ def test_memos_are_exact_where_the_surplus_two_bound_fires():
                 solver = _SubsetSolver(g.adj)
                 solver.td(g.full_mask())
                 for mask, depth in _solved(solver.memo):
+                    if len(mask_components(g.adj, mask)) == 1:
+                        for x in bits(mask):
+                            if g.adj[x] & mask != mask ^ 1 << x:
+                                assert solver._settle(mask, 1 << x, solver.td(mask ^ 1 << x)) == depth
+                for mask, depth in _solved(solver.memo):
                     assert depth == td(frozenset(bits(mask))), (to_graph6(g), mask)
-                entries += len(_solved(solver.memo))
-    assert entries > 5000
+    assert min(settles[k, outcome] for k in (1, 2) for outcome in (0, 1)) >= 200, settles
+    assert any(settles[k, 0] >= 50 and settles[k, 1] >= 50 for k in range(3, 14)), settles
 
 
 def _read_in(solver, to):
@@ -273,7 +344,8 @@ def test_memos_are_exact_where_the_surplus_one_bound_fires(monkeypatch):
     # under two seeded relabelings, against the shortcut-free recursion. A
     # solver is read back in the built numbering, turned by the rotation
     # symmetry of g that gives the least edge list, so isomorphic minors
-    # share one reference
+    # share one reference. The floor counts the _settle calls behind those
+    # entries: the scans here settle at k <= 1, with both outcomes at k = 1
     made = []
 
     class Recording(solver_module._MinorSolver):
@@ -282,9 +354,9 @@ def test_memos_are_exact_where_the_surplus_one_bound_fires(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(criticality_module, "_MinorSolver", Recording)
+    settles = _recorded_settles(monkeypatch)
     refs: dict = {}
     rng = random.Random(73)
-    entries = 0
     for g in (cycle_complement(10), cycle_complement(12), cycle_complement(14), g4k(3)):
         n = g.n
         turns = [r for r in ([(v + k) % n for v in range(n)] for k in range(n)) if g.relabeled(r) == g]
@@ -300,9 +372,8 @@ def test_memos_are_exact_where_the_surplus_one_bound_fires(monkeypatch):
                     refs[edges] = ref_tree_depth_dp(n, list(edges))
                 for mask, depth in _solved(solver.memo):
                     assert depth == refs[edges](frozenset(to[w] for w in bits(mask))), (to_graph6(g), perm, mask)
-                entries += len(_solved(solver.memo))
             made.clear()
-    assert entries > 5000
+    assert settles[1, 0] >= 100 and settles[1, 1] >= 1000, settles
 
 
 def test_decision_brackets_value_at_larger_n():
