@@ -31,6 +31,21 @@ vertex kept as u) are subgraphs of h on V - v, since h keeps every edge of
 g - v and u's new neighbours N(v) - u lie in the clique on N(v).
 Hence td(g/uv) <= td(h) < td(g), and likewise when u is 1-unique.
 
+Every answer of the table is constant on the orbits of Aut(g). An
+automorphism s of g maps g - uv, g/uv, g - v and the star-clique transform
+at v onto the same operation at s(u)s(v) or s(v), isomorphic to it (and
+g/uv is isomorphic to g/vu, so a contraction asks about an unordered
+edge). It maps a labeling f of g onto f(s^-1), feasible with the same
+labels, in which s(v) carries v's label, alone when v carried it alone;
+so min_t is constant on orbits too. report() asks each single question
+once per orbit of the group that graphs.automorphisms(g) generates and
+copies the answer to the rest of the orbit. Those generators are checked
+automorphisms, so they generate a subgroup of Aut(g), and each of its
+orbits lies inside an orbit of Aut(g): the copies are exact even when the
+search misses automorphisms, which only costs solves. minor_critical()
+stops at the first minor that keeps the depth, so it keeps its per-edge
+stages.
+
 t-uniqueness follows the reading: v is t-unique when some optimal labeling
 (feasible, labels at most td(g)) gives v the label t and no other vertex
 that label; min_t is the least such t, None if there is none. Write
@@ -63,12 +78,17 @@ g - L - v is a subgraph of elim(g, L + v).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
-from .graphs import Graph, bits, mask_components
-from .solver import _MinorSolver, _solver_for
+from .graphs import Graph, bits, mask_components, orbits
+from .solver import MAX_VERTICES, _MinorSolver, _solver_for
 
 T_UNIQUE_MAX_N = 10  # min_t scans the 2^(n-1) subsets of V - v past the flags
+
+# Every (u, v, delta) entry a report's edge tables can hold, made once so
+# that kept reports (a search keeps one per distinct hit) share them: 600
+# tuples, where each report's own would take most of its memory.
+_TRIPLES = {(u, v, d): (u, v, d) for v in range(MAX_VERTICES) for u in range(v) for d in (0, 1)}
 
 
 class _MinorTable:
@@ -108,29 +128,42 @@ class _MinorTable:
 
     def edge_deletions(self) -> Iterator[tuple[int, int, int]]:
         for u, v in self.g.edges():
-            yield u, v, int(self.edge_drops(u, v))
+            yield _TRIPLES[u, v, int(self.edge_drops(u, v))]
+
+    def vertex_drops(self, v: int) -> bool:
+        """Does deleting v lower td?"""
+        return self.solver.td(self.full ^ (1 << v)) < self.value
 
     def vertex_deletions(self) -> Iterator[int]:
         for v in range(self.g.n):
-            yield int(self.solver.td(self.full ^ (1 << v)) < self.value)
+            yield int(self.vertex_drops(v))
+
+    def contraction_drops(self, u: int, v: int) -> bool:
+        """Does contracting the edge uv lower td? u keeps the merged vertex
+        and v is dropped; an edge at a 1-unique vertex drops the depth
+        without a solve."""
+        adj, flags = self.g.adj, self.one_unique()
+        if flags[u] or flags[v]:
+            return True
+        rows = list(adj)
+        rows[u] = (adj[u] | adj[v]) & ~(1 << u | 1 << v)
+        for w in bits(rows[u]):
+            rows[w] |= 1 << u
+        return self._depth(rows, 1 << v) < self.value
 
     def contractions(self) -> Iterator[tuple[int, int, int]]:
-        """u keeps the merged vertex and v is dropped; an edge at a 1-unique
-        vertex drops the depth without a solve."""
-        adj, flags = self.g.adj, self.one_unique()
         for u, v in self.g.edges():
-            rows = list(adj)
-            rows[u] = (adj[u] | adj[v]) & ~(1 << u | 1 << v)
-            for w in bits(rows[u]):
-                rows[w] |= 1 << u
-            yield u, v, int(flags[u] or flags[v] or self._depth(rows, 1 << v) < self.value)
+            yield _TRIPLES[u, v, int(self.contraction_drops(u, v))]
 
     def one_unique(self) -> tuple[bool, ...]:
-        """The 1-unique flag of every vertex, solved on the first call: does
-        the star-clique transform at v lower td?"""
+        """The 1-unique flag of every vertex, solved on the first call."""
         if self._flags is None:
-            self._flags = tuple(self._eliminated(1 << v) < self.value for v in range(self.g.n))
+            self._flags = tuple(map(self._unique_at, range(self.g.n)))
         return self._flags
+
+    def _unique_at(self, v: int) -> bool:
+        """Does the star-clique transform at v lower td?"""
+        return self._eliminated(1 << v) < self.value
 
     def _eliminated(self, s: int) -> int:
         """td of elim(g, s), the graph on V - s that joins two vertices when
@@ -185,12 +218,18 @@ class _MinorTable:
         )
 
     def report(self) -> CriticalityReport:
-        """The report of the table's graph, from every stage of the table."""
+        """The report of the table's graph. Each single question is asked
+        once per orbit of automorphisms(g), of edges or of vertices, and its
+        answer copied to the rest of the orbit (module docstring)."""
         g, value = self.g, self.value
-        edge_deltas = tuple(self.edge_deletions())
-        contraction_deltas = tuple(self.contractions())
-        vertex_deltas = tuple(self.vertex_deletions())
-        ou = self.one_unique()
+        vertex_reps, edge_reps = orbits(g)
+        edges = g.edges()
+        if self._flags is None:
+            self._flags = _by_orbit(vertex_reps, self._unique_at)
+        ou = self._flags
+        edge_deltas = _edge_table(edges, edge_reps, self.edge_drops)
+        contraction_deltas = _edge_table(edges, edge_reps, self.contraction_drops)
+        vertex_deltas = tuple(map(int, _by_orbit(vertex_reps, self.vertex_drops)))
         sub_critical = all(d for _, _, d in edge_deltas)
         ind_critical = all(vertex_deltas)
         minor_critical = sub_critical and ind_critical and all(d for _, _, d in contraction_deltas)
@@ -201,7 +240,7 @@ class _MinorTable:
             contraction_deltas=contraction_deltas,
             vertex_deletion_deltas=vertex_deltas,
             one_unique=ou,
-            min_t=tuple(map(self.min_t, range(g.n))),
+            min_t=_by_orbit(vertex_reps, self.min_t),
             is_minor_critical=minor_critical,
             is_subgraph_critical=sub_critical,
             is_induced_subgraph_critical=ind_critical,
@@ -212,6 +251,22 @@ class _MinorTable:
             },
         )
 
+
+def _by_orbit(reps: list[int], ask: Callable[[int], Any]) -> tuple:
+    """ask(i) at each least orbit member i, where reps[i] is the least
+    member of i's orbit, and the same answer at the rest of the orbit."""
+    out: list = []
+    for i, r in enumerate(reps):
+        out.append(ask(i) if r == i else out[r])  # r < i is answered
+    return tuple(out)
+
+
+def _edge_table(edges: list[tuple[int, int]], reps: list[int],
+                drops: Callable[[int, int], bool]) -> tuple[tuple[int, int, int], ...]:
+    """The (u, v, delta) entry of each edge, with delta = drops(u, v) asked
+    once per edge orbit; reps as in _by_orbit, over the edge indices."""
+    answers = _by_orbit(reps, lambda i: drops(*edges[i]))
+    return tuple(_TRIPLES[u, v, int(d)] for (u, v), d in zip(edges, answers))
 
 
 def is_one_unique(g: Graph) -> bool:

@@ -2,9 +2,10 @@
 
 Covers the structural toolkit everything else builds on: minor operations
 (edge/vertex deletion, edge contraction), induced subgraphs, complement,
-cartesian product, exact canonicalization for small graphs,
-induced-pattern containment, the graph6 / edge-list text codecs, and the
-graph6 stream syntax that search and the CLI read.
+cartesian product, exact canonicalization for small graphs, checked
+automorphisms and their orbits, induced-pattern containment, the graph6 /
+edge-list text codecs, and the graph6 stream syntax that search and the
+CLI read.
 
 ``_pairs`` is the one home of the graph6 pair order: the encoder, the
 decoder and ``canonical_form`` all read it.
@@ -330,7 +331,35 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- canonical form -------------------------------------------------------
+# -- canonical form and automorphisms --------------------------------------
+
+
+def _refine(nbrs: list[list[int]], colors: list[int], v: int = -1) -> list[int]:
+    """Stable colour refinement of ``colors``, after individualizing vertex
+    ``v`` when one is given: v keeps its cell's colour, and the rest of that
+    cell and every higher cell move up by one. New colour ids are ranked by
+    (colour, sorted neighbour colours), so the result is independent of the
+    vertex numbering: relabeling the input relabels the output."""
+    if v >= 0:
+        c = colors[v]
+        colors = [x + 1 if x > c or (x == c and u != v) else x for u, x in enumerate(colors)]
+    while True:
+        get = colors.__getitem__
+        sigs = [(c, *sorted(map(get, row))) for c, row in zip(colors, nbrs)]
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+def _target_cell(colors: list[int]) -> int:
+    """The least colour that two or more vertices share; -1 when the
+    colouring is discrete."""
+    counts = [0] * len(colors)  # refined colours are ranks below n
+    for c in colors:
+        counts[c] += 1
+    return next((c for c, k in enumerate(counts) if k > 1), -1)
 
 
 def canonical_form(g: Graph) -> str:
@@ -349,25 +378,13 @@ def canonical_form(g: Graph) -> str:
         raise ValueError(f"canonical_form capped at n <= {CANONICAL_MAX_N}")
     adj = g.adj
     nbrs = [list(bits(row)) for row in adj]
-
-    def refine(colors: list[int]) -> list[int]:
-        # stable color refinement; new color ids ordered by invariant signature
-        while True:
-            sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
-            rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
-            new = [rank[s] for s in sigs]
-            if new == colors:
-                return new
-            colors = new
-
     best_key = best_order = None
     autos: list[list[int]] = []
 
     def search(colors: list[int], prefix: tuple[int, ...]) -> None:
         nonlocal best_key, best_order
-        colors = refine(colors)
-        shared = [c for c in colors if colors.count(c) > 1]
-        if not shared:
+        target = _target_cell(colors)
+        if target < 0:
             order = sorted(range(n), key=colors.__getitem__)
             key = _pair_bits(adj, order)
             if best_key is None or key < best_key:
@@ -378,31 +395,103 @@ def canonical_form(g: Graph) -> str:
                     sigma[b] = o
                 autos.append(sigma)
             return
-        target = min(shared)
         tried: list[int] = []
         for v in range(n):
             if colors[v] != target:
                 continue
             gens = [a for a in autos if all(a[p] == p for p in prefix)]
-            orbit = [v]
-            for w in orbit:  # the list grows while it is read
-                for a in gens:
-                    if a[w] not in orbit:
-                        orbit.append(a[w])
-            if any(u in orbit for u in tried):
+            if any(u in _orbit(v, gens) for u in tried):
                 continue
             tried.append(v)
-            split = [
-                c + 1 if (c > target or (c == target and u != v)) else c
-                for u, c in enumerate(colors)
-            ]
-            search(split, prefix + (v,))
+            search(_refine(nbrs, colors, v), prefix + (v,))
 
-    search([0] * n, ())
+    search(_refine(nbrs, [0] * n), ())
     # search's closure holds search; clearing it frees the search state at
     # return, not at a later cyclic collection
     del search
     return _graph6(n, best_key)
+
+
+def _orbit(v: int, perms: Sequence[Sequence[int]]) -> set[int]:
+    """The orbit of ``v`` under the group that ``perms`` generate."""
+    orbit, todo = {v}, [v]
+    while todo:
+        w = todo.pop()
+        for a in perms:
+            if a[w] not in orbit:
+                orbit.add(a[w])
+                todo.append(a[w])
+    return orbit
+
+
+def _greedy_leaf(nbrs: list[list[int]], colors: list[int], path: list | None = None) -> list[int]:
+    """The vertices in colour order at the discrete colouring reached from
+    the refined ``colors`` by individualizing, at each level, the lowest
+    vertex of the target cell. ``path``, when given, receives each level's
+    (colours, target cell, vertex)."""
+    while (target := _target_cell(colors)) >= 0:
+        v = colors.index(target)
+        if path is not None:
+            path.append((colors, target, v))
+        colors = _refine(nbrs, colors, v)
+    return sorted(range(len(colors)), key=colors.__getitem__)
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of a subgroup of Aut(g), each a checked automorphism:
+    sigma[v] is the image of v.
+
+    Individualization-refinement without backtracking (McKay and Piperno,
+    "Practical graph isomorphism, II", 2014). The first greedy descent
+    (``_greedy_leaf``) fixes a leaf. At each level of its path, deepest
+    first, every vertex w of the target cell that is not yet in the orbit
+    of the path's vertex starts one more greedy descent, and the map from
+    the first leaf to the new one is kept when it sends every adjacency row
+    onto the row of its image. All maps found fix the path's vertices above
+    their level, so they act on that level's cell, and the orbit test needs
+    no filter. At most n descents per level, so the cost is polynomial; a
+    descent that misses an automorphism only leaves the subgroup smaller.
+    """
+    adj = g.adj
+    nbrs = [list(bits(row)) for row in adj]
+    path: list = []
+    first = _greedy_leaf(nbrs, _refine(nbrs, [0] * g.n), path)
+    gens: list[tuple[int, ...]] = []
+    for colors, target, v in reversed(path):
+        orbit = _orbit(v, gens)
+        for w in range(g.n):
+            if colors[w] != target or w in orbit:
+                continue
+            sigma = [0] * g.n
+            for a, b in zip(first, _greedy_leaf(nbrs, _refine(nbrs, colors, w))):
+                sigma[a] = b
+            if all(sum(1 << sigma[u] for u in nbrs[a]) == adj[sigma[a]] for a in range(g.n)):
+                gens.append(tuple(sigma))
+                orbit = _orbit(v, gens)
+    return gens
+
+
+def _least_in_orbit(size: int, perms: Sequence[Sequence[int]]) -> list[int]:
+    """For each of 0..size-1, the least member of its orbit under the group
+    that ``perms`` (permutations of 0..size-1) generate."""
+    least = list(range(size))
+    for x in range(size):
+        if least[x] == x:  # x is the least of an orbit not yet met
+            for y in _orbit(x, perms):
+                least[y] = x
+    return least
+
+
+def orbits(g: Graph) -> tuple[list[int], list[int]]:
+    """The least vertex of each vertex's orbit, and the index in
+    ``g.edges()`` of the least edge of each edge's orbit, under the group
+    that ``automorphisms(g)`` generates. These orbits refine the orbits of
+    Aut(g)."""
+    gens = automorphisms(g)
+    edges = g.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    edge_perms = [[index[min(s[u], s[v]), max(s[u], s[v])] for u, v in edges] for s in gens]
+    return _least_in_orbit(g.n, gens), _least_in_orbit(len(edges), edge_perms)
 
 
 # -- induced pattern containment ------------------------------------------

@@ -78,6 +78,16 @@ td C; td C is solved only when slack < |C|, and td F last. Both are
 strict subsets of S (|C| <= k + 1 < |S|, since d >= 1, and F misses x),
 so the recursion answers them exactly and every memo entry stays exact.
 
+A set C' grown from C has slack' <= slack + min(|ext|, k + 1 - |C|). C'
+adds vertices of ext, which lie outside F, and vertices of F; each added
+vertex raises |C| by one, one from F also leaves F, and |C'| <= k + 1.
+C' must have slack' >= td C' >= max(td C, 2), as it is connected with two
+or more vertices. So the search drops a branch, and the rest of the
+loop, whose ext only shrinks, once that bound falls below max(floor, 2),
+floor being the lower bound on td C it holds. On the 54 seed-1 graphs of
+the solve-gnp benchmark this bound cut the searches from 128,403 calls
+to 80,966.
+
 _settle applies the rule. At k = 0, S - x is complete and x misses some
 vertex y, so C = {x} and F = {y} give T = d with no search. At k = 1 and
 2, S - x holds no member of F_k, so g[S] holds one iff it holds one
@@ -296,8 +306,13 @@ class _SubsetSolver:
                 return c
         if size == need or not far & (far - 1):
             return 0  # a larger C has td >= 2 and needs |F| >= 2
+        # a larger C grown from here has slack at most
+        # slack + min(|ext|, need - size), and needs slack >= max(floor, 2)
+        least = max(floor, 2) - slack
+        if need - size < least:
+            return 0
         adj = self.adj
-        while ext:
+        while ext and ext.bit_count() >= least:
             low = ext & -ext
             ext ^= low
             near = adj[low.bit_length() - 1]

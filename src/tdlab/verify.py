@@ -111,7 +111,7 @@ def _random_graph(rng: random.Random) -> Graph:
 
 
 def _c1_andrasfai_depth(full: bool, bad: list[str]) -> str:
-    k_max = 5 if full else 4
+    k_max = 8 if full else 4
     for k in range(1, k_max + 1):
         g = andrasfai(k)
         if tree_depth(g).value != 2 * k:
@@ -126,7 +126,7 @@ def _c1_andrasfai_depth(full: bool, bad: list[str]) -> str:
 
 
 def _c2_andrasfai_critical(full: bool, bad: list[str]) -> str:
-    k_max = 5 if full else 4
+    k_max = 8 if full else 4
     for k in range(1, k_max + 1):
         for tag, g in ((f"And({k})", andrasfai(k)), (f"And({k})-v", andrasfai(k).delete_vertex(0))):
             report = criticality_report(g)

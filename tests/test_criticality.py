@@ -15,11 +15,13 @@ from tdlab import (
     cycle,
     cycle_complement,
     enumerate_graphs,
+    g4k,
     h_graph,
     is_minor_critical,
     is_one_unique,
     path,
     pattern,
+    to_graph6,
     tree_depth,
     tree_depth_decision,
 )
@@ -28,7 +30,7 @@ from tdlab.criticality import _MinorTable
 from tdlab.solver import _solver_for
 from tdlab.verify import _direct_min_t
 
-from oracles import disjoint_union
+from oracles import disjoint_union, regular_corpus
 from test_graphs import random_graph
 
 
@@ -158,6 +160,33 @@ def test_report_min_t_matches_t_uniqueness():
     for g in graphs:
         r = criticality_report(g)
         assert r.min_t == _direct_min_t(g, r.td)
+
+
+def test_orbit_reduced_report_matches_the_per_question_table():
+    # the report asks each question once per orbit of automorphisms(g); the
+    # table's stages ask it at every edge and vertex. On co-C8..co-C16 and
+    # G_8, G_12, G_16 under seeded relabelings, random graphs with
+    # n = 8..11, and three regular graphs of each shape in the corpus, where
+    # refinement splits no cell
+    rng = random.Random(2712)
+    graphs = []
+    for g in [cycle_complement(n) for n in range(8, 17)] + [g4k(k) for k in range(2, 5)]:
+        graphs += [g.relabeled(rng.sample(range(g.n), g.n)) for _ in range(2)]
+    graphs += [random_graph(rng, n=n) for n in range(8, 12) for _ in range(5)]
+    for g in graphs + regular_corpus()[::5]:
+        r = criticality_report(g)
+        table = _MinorTable(g)
+        assert (r.edge_deletion_deltas, r.contraction_deltas, r.vertex_deletion_deltas,
+                r.one_unique, r.min_t) == (
+            tuple(table.edge_deletions()), tuple(table.contractions()),
+            tuple(table.vertex_deletions()), table.one_unique(),
+            tuple(map(table.min_t, range(g.n)))), to_graph6(g)
+
+
+def test_reports_share_their_edge_entries():
+    # one (u, v, delta) tuple per value, whichever report holds it
+    entry = criticality_report(cycle(6)).edge_deletion_deltas[0]
+    assert entry == (0, 1, 1) and entry is criticality_report(complete(4)).contraction_deltas[0]
 
 
 def test_report_complete_graph():

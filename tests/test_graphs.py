@@ -14,6 +14,7 @@ from tdlab import (
     cycle_complement,
     complete,
     enumerate_graphs,
+    g4k,
     parse_edge_list,
     parse_graph6,
     path,
@@ -21,7 +22,7 @@ from tdlab import (
     to_edge_list,
     to_graph6,
 )
-from tdlab.graphs import GRAPH6_MAX_N, mask_components
+from tdlab.graphs import GRAPH6_MAX_N, automorphisms, mask_components, orbits
 
 from oracles import (
     disjoint_union,
@@ -298,6 +299,53 @@ def test_canonical_form_is_invariant_where_refinement_stalls():
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_form(g.relabeled(perm)) == key
+
+
+def _true_orbits(g):
+    """The vertex and edge orbits of Aut(g), from every automorphism that
+    networkx's matcher lists on the sparser of g and its complement: a set
+    per vertex, and a set per edge (u, v) with u < v."""
+    from networkx import Graph as NxGraph
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    sparse = g if 4 * g.edge_count() <= g.n * (g.n - 1) else g.complement()
+    h = NxGraph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(sparse.edges())
+    vertex = [set() for _ in range(g.n)]
+    edge = {e: set() for e in g.edges()}
+    for m in GraphMatcher(h, h).isomorphisms_iter():
+        for v in range(g.n):
+            vertex[v].add(m[v])
+        for u, v in edge:
+            edge[u, v].add((min(m[u], m[v]), max(m[u], m[v])))
+    return vertex, edge
+
+
+def test_automorphisms_are_checked_and_their_orbits_refine_the_true_orbits():
+    # every graph with n <= 7 from the networkx atlas, an independent list
+    from networkx.generators.atlas import graph_atlas_g
+
+    for a in graph_atlas_g():
+        g = Graph.from_edges(a.number_of_nodes(), a.edges())
+        assert all(g.relabeled(sigma) == g for sigma in automorphisms(g))
+        vertex, edge = _true_orbits(g)
+        vertex_reps, edge_reps = orbits(g)
+        edges = g.edges()
+        assert all(vertex_reps[v] in vertex[v] for v in range(g.n))
+        assert all(edges[edge_reps[i]] in edge[e] for i, e in enumerate(edges))
+
+
+def test_orbits_equal_the_true_orbits_on_the_family_graphs():
+    # co-C8..co-C16 and G_8, G_12, G_16, as built and relabeled
+    rng = random.Random(2711)
+    for g in [cycle_complement(n) for n in range(8, 17)] + [g4k(k) for k in range(2, 5)]:
+        for h in (g, g.relabeled(rng.sample(range(g.n), g.n))):
+            vertex, edge = _true_orbits(h)
+            vertex_reps, edge_reps = orbits(h)
+            edges = h.edges()
+            assert [min(orbit) for orbit in vertex] == vertex_reps
+            assert [edges.index(min(edge[e])) for e in edges] == edge_reps
 
 
 def test_canonical_form_separates_non_isomorphic():

@@ -339,9 +339,11 @@ def _read_in(solver, to):
 
 def test_memos_are_exact_where_the_surplus_one_bound_fires(monkeypatch):
     # co-C10, co-C12, co-C14 and G_12 have td n - 1, so the surplus-one
-    # test settles most scans of their minors. Every memo entry of a report's parent
-    # solver and of each minor solver it builds, for each graph as built and
-    # under two seeded relabelings, against the shortcut-free recursion. A
+    # test settles most scans of their minors. Every memo entry of a minor
+    # table's parent solver and of each minor solver that its per-edge and
+    # per-vertex stages build, for each graph as built and under two seeded
+    # relabelings, against the shortcut-free recursion. The stages solve
+    # every single-step minor, where a report solves one per orbit. A
     # solver is read back in the built numbering, turned by the rotation
     # symmetry of g that gives the least edge list, so isomorphic minors
     # share one reference. The floor counts the _settle calls behind those
@@ -364,7 +366,10 @@ def test_memos_are_exact_where_the_surplus_one_bound_fires(monkeypatch):
             back = [0] * n
             for v, w in enumerate(perm):
                 back[w] = v
-            criticality_report(g.relabeled(perm))
+            table = _MinorTable(g.relabeled(perm))
+            for stage in (table.edge_deletions(), table.contractions(), table.vertex_deletions(),
+                          map(table.min_t, range(n))):
+                list(stage)
             assert made
             for solver in [made[0].parent] + made:
                 edges, to = min(_read_in(solver, [turn[v] for v in back]) for turn in turns)

@@ -111,6 +111,14 @@ def family_report_gate() -> str:
     return f"criticality_report co-C8..co-C16, g4k(2..4): {len(graphs)} graphs {_report_digest(graphs)}"
 
 
+def orbit_gate() -> str:
+    """The least vertex of each vertex orbit and the least edge index of
+    each edge orbit (graphs.orbits) of the family graphs."""
+    graphs = _family_graphs()
+    digest = hashlib.sha256("".join(f"{tdlab.graphs.orbits(g)}\n" for g in graphs).encode())
+    return f"orbits co-C8..co-C16, g4k(2..4): {len(graphs)} graphs {digest.hexdigest()}"
+
+
 def large_report_gate() -> str:
     """The reports of And(5), And(6), H7, H8, co-C14, the 7-net and the K6
     prism (12 <= n <= 17), each as built and under two seeded relabelings:
@@ -290,8 +298,8 @@ def code_lines(package: Path) -> int:
 
 
 def main() -> None:
-    graph_gates = [report_gate(), random_report_gate(), family_report_gate(), large_report_gate(),
-                   spanning_subgraph_gate(), solve_sequence_gate(), solve_sequence_gate(range(16, 19), 1618),
+    graph_gates = [report_gate(), random_report_gate(), family_report_gate(), orbit_gate(),
+                   large_report_gate(), spanning_subgraph_gate(), solve_sequence_gate(), solve_sequence_gate(range(16, 19), 1618),
                    canonical_gate(), graph6_gate(), induced_gate()]
     for line in labeling_gates() + graph_gates + search_gates() + [stream_gate(), ledger_gate()]:
         print(line)
