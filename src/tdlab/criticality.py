@@ -115,6 +115,7 @@ class _MinorTable:
             value = self.solver.td(self.full)
         self.value = self.solver.memo[self.full] = value
         self._flags: tuple[bool, ...] | None = None
+        self._critical = False  # minor_critical() has answered True
 
     def _depth(self, adj: Sequence[int], dropped: int = 0) -> int:
         return _MinorSolver(self.solver, adj, dropped).td(self.full ^ dropped)
@@ -210,26 +211,33 @@ class _MinorTable:
         """Edge, then vertex, then contraction stage, stopping at the first
         minor that keeps the depth. The contraction stage first solves the
         1-unique flags, which the caller can then read from the table, and
-        solves only the edges that the flags do not settle."""
-        return (
+        solves only the edges that the flags do not settle. A True is kept:
+        it answers every single-step minor, so report() solves none again."""
+        self._critical = (
             all(d for _, _, d in self.edge_deletions())
             and all(self.vertex_deletions())
             and all(d for _, _, d in self.contractions())
         )
+        return self._critical
 
     def report(self) -> CriticalityReport:
         """The report of the table's graph. Each single question is asked
         once per orbit of automorphisms(g), of edges or of vertices, and its
-        answer copied to the rest of the orbit (module docstring)."""
+        answer copied to the rest of the orbit (module docstring); after a
+        True from minor_critical(), only the flags and min_t are asked."""
         g, value = self.g, self.value
         vertex_reps, edge_reps = orbits(g)
         edges = g.edges()
         if self._flags is None:
             self._flags = _by_orbit(vertex_reps, self._unique_at)
         ou = self._flags
-        edge_deltas = _edge_table(edges, edge_reps, self.edge_drops)
-        contraction_deltas = _edge_table(edges, edge_reps, self.contraction_drops)
-        vertex_deltas = tuple(map(int, _by_orbit(vertex_reps, self.vertex_drops)))
+        if self._critical:  # every single-step minor drops the depth
+            edge_deltas = contraction_deltas = tuple(_TRIPLES[u, v, 1] for u, v in edges)
+            vertex_deltas = (1,) * g.n
+        else:
+            edge_deltas = _edge_table(edges, edge_reps, self.edge_drops)
+            contraction_deltas = _edge_table(edges, edge_reps, self.contraction_drops)
+            vertex_deltas = tuple(map(int, _by_orbit(vertex_reps, self.vertex_drops)))
         sub_critical = all(d for _, _, d in edge_deltas)
         ind_critical = all(vertex_deltas)
         minor_critical = sub_critical and ind_critical and all(d for _, _, d in contraction_deltas)

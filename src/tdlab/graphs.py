@@ -334,23 +334,101 @@ def to_edge_list(g: Graph) -> str:
 # -- canonical form and automorphisms --------------------------------------
 
 
-def _refine(nbrs: list[list[int]], colors: list[int], v: int = -1) -> list[int]:
-    """Stable colour refinement of ``colors``, after individualizing vertex
-    ``v`` when one is given: v keeps its cell's colour, and the rest of that
-    cell and every higher cell move up by one. New colour ids are ranked by
-    (colour, sorted neighbour colours), so the result is independent of the
-    vertex numbering: relabeling the input relabels the output."""
-    if v >= 0:
-        c = colors[v]
-        colors = [x + 1 if x > c or (x == c and u != v) else x for u, x in enumerate(colors)]
-    while True:
-        get = colors.__getitem__
-        sigs = [(c, *sorted(map(get, row))) for c, row in zip(colors, nbrs)]
-        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
+def _refine(adj: Sequence[int], colors: list[int], v: int = -1) -> list[int]:
+    """Stable colour refinement of the unit colouring ``colors`` or, when a
+    vertex ``v`` is given, of the equitable ``colors`` (a result of this
+    function) after individualizing v: v keeps its cell's colour, and the
+    rest of that cell and every higher cell move up by one. Each round
+    ranks the vertices by (colour, sorted neighbour colours), and the
+    rounds stop at the first that splits no cell. The result is independent
+    of the vertex numbering: relabeling the input relabels the output.
+
+    The rounds run on an ordered list of cells, one bitmask each, where a
+    vertex's colour is the index of its cell. Ranking by colour first keeps
+    every cell in place and splits it into the ranks of its members, so
+    only the order inside a cell needs computing, and by the lemma below
+    only cells next to a fresh split can have one. A member's counts into
+    the kept pieces are packed into one integer, first piece highest, so
+    the descending order of these keys is the lemma's order.
+
+    Lemma. (a) The first round from the unit colouring ranks the vertices
+    by degree. (b) From then on every cell holds vertices of one degree, and
+    inside a cell the order by sorted neighbour colours is the
+    lexicographic order of the negated neighbour counts into the pieces of
+    the cells that split in the previous round, in colour order, leaving
+    out the last piece of each. (c) A cell with no member adjacent to a kept
+    piece does not split. (d) Individualizing v in an equitable colouring
+    splits only v's cell, into {v} and the rest.
+
+    Proof. (a) The signatures (0, 0, ..., 0) differ only in length. (b)
+    Cells only split, so they stay inside the degree classes. Two sorted
+    tuples of equal length first differ where one holds a colour c that the
+    other holds fewer times, with equal counts below c; so the tuple is
+    smaller iff its vector of counts per colour is larger at its first
+    difference, which is the stated order over all cells. Members of a cell
+    had equal signatures a round before, so they agree on their count into
+    every cell of that round: into each cell that did not split, and into
+    the union of the pieces of each cell that did. Counts that all members
+    share do not change the order, and neither does the last piece of a
+    split cell: two members have the same count into the union of its
+    pieces, so where they first differ a later piece of that cell differs
+    too, and the first difference never falls on the last piece. (c)
+    Its members all count 0 into every kept piece. (d) The colouring is
+    equitable, so the signatures of the previous round split nothing; the
+    round after individualization starts from them with v's cell split.
+    """
+    if v < 0:
+        by_degree: dict[int, int] = {}
+        for u, row in enumerate(adj):
+            d = row.bit_count()
+            by_degree[d] = by_degree.get(d, 0) | 1 << u
+        cells = [by_degree[d] for d in sorted(by_degree)]
+        split = cells[:-1]
+    else:
+        cells = [0] * (max(colors) + 1)
+        for u, c in enumerate(colors):
+            cells[c] |= 1 << u
+        c, bit = colors[v], 1 << v
+        split = []
+        if cells[c] != bit:
+            cells[c:c + 1] = [bit, cells[c] ^ bit]
+            split = [bit]
+    shift = len(adj).bit_length()  # bits per count: a count is below n
+    while split:
+        kept, split = split, []
+        touched = 0
+        for piece in kept:
+            while piece:
+                low = piece & -piece
+                piece ^= low
+                touched |= adj[low.bit_length() - 1]
+        out: list[int] = []
+        for cell in cells:
+            if cell & touched and cell & (cell - 1):
+                groups: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row = adj[low.bit_length() - 1]
+                    key = 0  # the counts into the kept pieces, first piece highest
+                    for p in kept:
+                        key = key << shift | (row & p).bit_count()
+                    groups[key] = groups.get(key, 0) | low
+                if len(groups) > 1:
+                    pieces = [groups[k] for k in sorted(groups, reverse=True)]
+                    out += pieces
+                    split += pieces[:-1]
+                    continue
+            out.append(cell)
+        cells = out
+    colors = [0] * len(adj)
+    for c, cell in enumerate(cells):
+        while cell:
+            low = cell & -cell
+            cell ^= low
+            colors[low.bit_length() - 1] = c
+    return colors
 
 
 def _target_cell(colors: list[int]) -> int:
@@ -377,7 +455,6 @@ def canonical_form(g: Graph) -> str:
     if n > CANONICAL_MAX_N:
         raise ValueError(f"canonical_form capped at n <= {CANONICAL_MAX_N}")
     adj = g.adj
-    nbrs = [list(bits(row)) for row in adj]
     best_key = best_order = None
     autos: list[list[int]] = []
 
@@ -403,9 +480,9 @@ def canonical_form(g: Graph) -> str:
             if any(u in _orbit(v, gens) for u in tried):
                 continue
             tried.append(v)
-            search(_refine(nbrs, colors, v), prefix + (v,))
+            search(_refine(adj, colors, v), prefix + (v,))
 
-    search(_refine(nbrs, [0] * n), ())
+    search(_refine(adj, [0] * n), ())
     # search's closure holds search; clearing it frees the search state at
     # return, not at a later cyclic collection
     del search
@@ -424,7 +501,7 @@ def _orbit(v: int, perms: Sequence[Sequence[int]]) -> set[int]:
     return orbit
 
 
-def _greedy_leaf(nbrs: list[list[int]], colors: list[int], path: list | None = None) -> list[int]:
+def _greedy_leaf(adj: Sequence[int], colors: list[int], path: list | None = None) -> list[int]:
     """The vertices in colour order at the discrete colouring reached from
     the refined ``colors`` by individualizing, at each level, the lowest
     vertex of the target cell. ``path``, when given, receives each level's
@@ -433,7 +510,7 @@ def _greedy_leaf(nbrs: list[list[int]], colors: list[int], path: list | None = N
         v = colors.index(target)
         if path is not None:
             path.append((colors, target, v))
-        colors = _refine(nbrs, colors, v)
+        colors = _refine(adj, colors, v)
     return sorted(range(len(colors)), key=colors.__getitem__)
 
 
@@ -446,26 +523,28 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     (``_greedy_leaf``) fixes a leaf. At each level of its path, deepest
     first, every vertex w of the target cell that is not yet in the orbit
     of the path's vertex starts one more greedy descent, and the map from
-    the first leaf to the new one is kept when it sends every adjacency row
-    onto the row of its image. All maps found fix the path's vertices above
+    the first leaf to the new one is kept when both leaves order g into the
+    same graph6 pair bits (``_pair_bits``): then it maps edges onto edges
+    and non-edges onto non-edges. All maps found fix the path's vertices above
     their level, so they act on that level's cell, and the orbit test needs
     no filter. At most n descents per level, so the cost is polynomial; a
     descent that misses an automorphism only leaves the subgroup smaller.
     """
     adj = g.adj
-    nbrs = [list(bits(row)) for row in adj]
     path: list = []
-    first = _greedy_leaf(nbrs, _refine(nbrs, [0] * g.n), path)
+    first = _greedy_leaf(adj, _refine(adj, [0] * g.n), path)
+    key = _pair_bits(adj, first)
     gens: list[tuple[int, ...]] = []
     for colors, target, v in reversed(path):
         orbit = _orbit(v, gens)
         for w in range(g.n):
             if colors[w] != target or w in orbit:
                 continue
-            sigma = [0] * g.n
-            for a, b in zip(first, _greedy_leaf(nbrs, _refine(nbrs, colors, w))):
-                sigma[a] = b
-            if all(sum(1 << sigma[u] for u in nbrs[a]) == adj[sigma[a]] for a in range(g.n)):
+            leaf = _greedy_leaf(adj, _refine(adj, colors, w))
+            if _pair_bits(adj, leaf) == key:
+                sigma = [0] * g.n
+                for a, b in zip(first, leaf):
+                    sigma[a] = b
                 gens.append(tuple(sigma))
                 orbit = _orbit(v, gens)
     return gens

@@ -132,7 +132,8 @@ def _screen_one(job: SearchJob, g6: str) -> _Screened:
     of the minor table's parent), then the table's edge, vertex and
     contraction stages, whose 1-unique flags settle every contraction at a
     1-unique vertex and then serve the 1-uniqueness filter; for hits, the
-    full report from the same table.
+    full report from the same table, which solves no minor again after a
+    True from minor_critical().
     """
     g = parse_graph6(g6)
     counts = ["graphs_scanned"]

@@ -4,7 +4,8 @@ Deliberately written from the definitions, with different algorithms than
 the package: feasibility by per-pair path search, tree-depth by label
 enumeration or by the shortcut-free recursion on vertex sets, isomorphism by
 permutation scan, graph6 by direct bit reading, vertex connectivity by
-scanning vertex cuts. The graph constructions the package does not need,
+scanning vertex cuts, colour refinement by ranking every vertex's sorted
+neighbour colours in every round. The graph constructions the package does not need,
 the star-clique transform, the disjoint union and seeded random regular
 graphs, are built here from edge lists.
 """
@@ -233,3 +234,23 @@ def ref_isomorphism_classes(n: int) -> int:
                 mapped |= 1 << pairs.index((a, b))
             seen.add(mapped)
     return classes
+
+
+def ref_refine(nbrs: list[list[int]], colors: list[int], v: int = -1) -> list[int]:
+    """Stable colour refinement of ``colors``, after individualizing vertex
+    ``v`` when one is given: v keeps its cell's colour, and the rest of that
+    cell and every higher cell move up by one. New colour ids are ranked by
+    (colour, sorted neighbour colours) over every vertex in every round,
+    until a round changes no colour. ``nbrs`` lists each vertex's
+    neighbours."""
+    if v >= 0:
+        c = colors[v]
+        colors = [x + 1 if x > c or (x == c and u != v) else x for u, x in enumerate(colors)]
+    while True:
+        get = colors.__getitem__
+        sigs = [(c, *sorted(map(get, row))) for c, row in zip(colors, nbrs)]
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new

@@ -146,6 +146,35 @@ def test_contraction_stage_solves_only_unsettled_edges(monkeypatch):
     assert len(made) == sum(1 for u, v in g.edges() if not flags[u] and not flags[v]) > 0
 
 
+def test_report_after_a_true_minor_critical_solves_no_minor_again(monkeypatch):
+    # the search's screen asks minor_critical() and then report() of a hit;
+    # on the ten minor-critical graphs with n = 7 and td = 5, the report
+    # builds minor solvers only for min_t's eliminations, and equals the
+    # report of a fresh table
+    made, eliminated = [], []
+
+    class Recording(criticality_module._MinorSolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def recording_eliminated(self, s):
+        eliminated.append(s)
+        return plain_eliminated(self, s)
+
+    plain_eliminated = _MinorTable._eliminated
+    monkeypatch.setattr(criticality_module, "_MinorSolver", Recording)
+    monkeypatch.setattr(_MinorTable, "_eliminated", recording_eliminated)
+    tables = [t for t in map(_MinorTable, enumerate_graphs(7)) if t.value == 5 and t.minor_critical()]
+    assert len(tables) == 10
+    for table in tables:
+        made.clear()
+        eliminated.clear()
+        report = table.report()
+        assert len(made) == len(eliminated), to_graph6(table.g)
+        assert report == criticality_report(table.g)
+
+
 def test_report_min_t_matches_t_uniqueness():
     # against the labeling search, which shares no code with the minor
     # table's elimination kernel; the random graphs fill the old search cap

@@ -7,14 +7,18 @@ import pytest
 from tdlab import (
     Graph,
     Graph6Error,
+    andrasfai,
     canonical_form,
     cartesian_product,
+    clique_prism,
     contains_induced,
     cycle,
     cycle_complement,
     complete,
     enumerate_graphs,
     g4k,
+    h_graph,
+    k_net,
     parse_edge_list,
     parse_graph6,
     path,
@@ -22,12 +26,13 @@ from tdlab import (
     to_edge_list,
     to_graph6,
 )
-from tdlab.graphs import GRAPH6_MAX_N, automorphisms, mask_components, orbits
+from tdlab.graphs import GRAPH6_MAX_N, _refine, _target_cell, automorphisms, mask_components, orbits
 
 from oracles import (
     disjoint_union,
     ref_decode_graph6,
     ref_isomorphic,
+    ref_refine,
     ref_vertex_connectivity,
     regular_corpus,
     star_clique_transform,
@@ -299,6 +304,33 @@ def test_canonical_form_is_invariant_where_refinement_stalls():
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_form(g.relabeled(perm)) == key
+
+
+def _assert_refine_matches_the_reference(g):
+    """_refine against ref_refine from the unit colouring, and at every
+    level of the greedy path after individualizing each vertex of the
+    target cell."""
+    nbrs = [[u for u in range(g.n) if g.has_edge(u, v)] for v in range(g.n)]
+    colors = _refine(g.adj, [0] * g.n)
+    assert colors == ref_refine(nbrs, [0] * g.n), to_graph6(g)
+    while (target := _target_cell(colors)) >= 0:
+        for w in range(g.n):
+            if colors[w] == target:
+                assert _refine(g.adj, colors, w) == ref_refine(nbrs, colors, w), (to_graph6(g), colors, w)
+        colors = _refine(g.adj, colors, colors.index(target))
+
+
+def test_refine_matches_the_sorted_signature_reference():
+    # seeded G(n, p) with n <= 12, the regular corpus, where the first
+    # round splits nothing, and the family graphs under seeded relabelings
+    rng = random.Random(2801)
+    families = ([cycle_complement(n) for n in range(8, 17)] + [g4k(k) for k in range(2, 5)]
+                + [andrasfai(k) for k in range(3, 7)] + [h_graph(n) for n in range(5, 9)]
+                + [k_net(k) for k in range(5, 8)] + [clique_prism(a) for a in range(4, 7)])
+    graphs = [random_graph(rng, n=rng.randint(0, 12)) for _ in range(600)] + regular_corpus()
+    graphs += [g.relabeled(rng.sample(range(g.n), g.n)) for g in families]
+    for g in graphs:
+        _assert_refine_matches_the_reference(g)
 
 
 def _true_orbits(g):

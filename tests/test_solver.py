@@ -256,6 +256,22 @@ def test_settle_matches_the_shortcut_free_recursion():
     assert settled == {0: {0}, 1: {0, 1}, 2: {0, 1}, 3: {0, 1}}
 
 
+def test_settle_sees_a_lone_2k3_through_x():
+    # a G(9, m) from a seeded search: S - x has no member of F_2, and g[S]
+    # holds a 2K3 through x and no other member, so _settle at k = 2 rests
+    # on the 2K3 test of _no_f2_through alone
+    g = parse_graph6("H_utmrz")
+    mask, x = 0b11110111, 1  # S = {0, 1, 2, 4, 5, 6, 7}
+    held = [name for name in FORBIDDEN_LISTS[2]
+            if contains_induced(g.induced_subgraph(bits(mask)), pattern(name))]
+    assert held == ["2K3"] and fk_free(g.induced_subgraph(bits(mask ^ 1 << x)), 2)
+    assert len(mask_components(g.adj, mask)) == 1 and g.adj[x] & mask != mask ^ 1 << x
+    td = ref_tree_depth_dp(g.n, g.edges())
+    d = td(frozenset(bits(mask ^ 1 << x)))
+    assert mask.bit_count() - 1 - d == 2
+    assert _SubsetSolver(g.adj)._settle(mask, 1 << x, d) == td(frozenset(bits(mask))) == d
+
+
 def test_certificate_search_matches_the_shortcut_free_recursion_past_seven_vertices():
     # seeded G(n, m) with n = 8..10, where F_3 gains 2K4 and F_4, F_5 gain
     # members with components of five and six vertices: for every connected

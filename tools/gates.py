@@ -165,10 +165,10 @@ def solve_sequence_gate(sizes: range = range(10, 16), seed: int = 1015) -> str:
     return f"solve sequence G(n, m) {sizes[0]}<=n<={sizes[-1]}: {count} graphs {digest.hexdigest()}"
 
 
-def canonical_gate() -> str:
-    """canonical_form of 3,000 seeded random graphs with n <= 10, of the
-    tests' regular corpus, where refinement splits no cell, and of ten
-    symmetric graphs on 8 to 10 vertices."""
+def _canonical_corpus() -> list[tdlab.Graph]:
+    """3,000 seeded random graphs with n <= 10, the tests' regular corpus,
+    where refinement splits no cell, and ten symmetric graphs on 8 to 10
+    vertices."""
     rng = random.Random(2207)
     graphs = [_gnp(rng, rng.randint(0, 10), rng.choice((0.2, 0.5, 0.8))) for _ in range(3000)]
     petersen = tdlab.Graph.from_edges(
@@ -179,8 +179,31 @@ def canonical_gate() -> str:
         tdlab.complete(10), tdlab.Graph(10, [0] * 10), tdlab.cycle(10), tdlab.cycle_complement(10),
         petersen, tdlab.andrasfai(3), tdlab.h_graph(5), tdlab.clique_prism(5), tdlab.g4k(2), tdlab.k_net(5),
     ]
+    return graphs
+
+
+def canonical_gate() -> str:
+    """canonical_form of the canonical-form corpus."""
+    graphs = _canonical_corpus()
     text = "".join(f"{tdlab.canonical_form(g)}\n" for g in graphs)
     return f"canonical_form n<=10: {len(graphs)} graphs {hashlib.sha256(text.encode()).hexdigest()}"
+
+
+def refine_gate() -> str:
+    """The colourings that graphs._refine returns over the canonical-form
+    corpus: from the unit colouring, and after individualizing each vertex
+    in that result. It pins the colour order itself, apart from the strings
+    built on it. It passes adjacency rows, so a package whose _refine still
+    takes neighbour lists has no such line."""
+    graphs = _canonical_corpus()
+    digest = hashlib.sha256()
+    count = 0
+    for g in graphs:
+        unit = tdlab.graphs._refine(g.adj, [0] * g.n)
+        colorings = [unit] + [tdlab.graphs._refine(g.adj, unit, v) for v in range(g.n)]
+        count += len(colorings)
+        digest.update("".join(f"{c}\n" for c in colorings).encode())
+    return f"_refine n<=10, unit and first individualizations: {len(graphs)} graphs, {count} colourings {digest.hexdigest()}"
 
 
 def induced_gate() -> str:
@@ -300,7 +323,7 @@ def code_lines(package: Path) -> int:
 def main() -> None:
     graph_gates = [report_gate(), random_report_gate(), family_report_gate(), orbit_gate(),
                    large_report_gate(), spanning_subgraph_gate(), solve_sequence_gate(), solve_sequence_gate(range(16, 19), 1618),
-                   canonical_gate(), graph6_gate(), induced_gate()]
+                   canonical_gate(), refine_gate(), graph6_gate(), induced_gate()]
     for line in labeling_gates() + graph_gates + search_gates() + [stream_gate(), ledger_gate()]:
         print(line)
     print(f"code lines in the tdlab package: {code_lines(Path(tdlab.__file__).parent)}")
