@@ -9,6 +9,9 @@ CLI read.
 
 ``_pairs`` is the one home of the graph6 pair order: the encoder, the
 decoder and ``canonical_form`` all read it.
+
+A partition of the vertices, in ``_refine``, ``canonical_form`` and
+``automorphisms``, is an ordered list of cells, one bitmask each.
 """
 
 from __future__ import annotations
@@ -334,22 +337,24 @@ def to_edge_list(g: Graph) -> str:
 # -- canonical form and automorphisms --------------------------------------
 
 
-def _refine(adj: Sequence[int], colors: list[int], v: int = -1) -> list[int]:
-    """Stable colour refinement of the unit colouring ``colors`` or, when a
-    vertex ``v`` is given, of the equitable ``colors`` (a result of this
-    function) after individualizing v: v keeps its cell's colour, and the
-    rest of that cell and every higher cell move up by one. Each round
-    ranks the vertices by (colour, sorted neighbour colours), and the
-    rounds stop at the first that splits no cell. The result is independent
-    of the vertex numbering: relabeling the input relabels the output.
+def _refine(adj: Sequence[int], cells: list[int] | None = None, v: int = -1) -> list[int]:
+    """Stable colour refinement of a partition of the vertices, given as an
+    ordered list of cells, one bitmask each; a vertex's colour is the index
+    of its cell. ``None`` stands for the unit partition. Given equitable
+    ``cells`` (a result of this function) and a vertex ``v``, v is first
+    individualized: its cell becomes {v} followed by the rest of the cell.
+    Each round ranks the vertices by (colour, sorted neighbour colours),
+    and the rounds stop at the first that splits no cell. The result is a
+    new list, independent of the vertex numbering: relabeling the input
+    relabels the output. ``cells`` itself is never changed, so a caller
+    can refine it again for another v.
 
-    The rounds run on an ordered list of cells, one bitmask each, where a
-    vertex's colour is the index of its cell. Ranking by colour first keeps
-    every cell in place and splits it into the ranks of its members, so
-    only the order inside a cell needs computing, and by the lemma below
-    only cells next to a fresh split can have one. A member's counts into
-    the kept pieces are packed into one integer, first piece highest, so
-    the descending order of these keys is the lemma's order.
+    Ranking by colour first keeps every cell in place and splits it into
+    the ranks of its members, so only the order inside a cell needs
+    computing, and by the lemma below only cells next to a fresh split can
+    have one. A member's counts into the kept pieces are packed into one
+    integer, first piece highest, so the descending order of these keys is
+    the lemma's order.
 
     Lemma. (a) The first round from the unit colouring ranks the vertices
     by degree. (b) From then on every cell holds vertices of one degree, and
@@ -377,7 +382,7 @@ def _refine(adj: Sequence[int], colors: list[int], v: int = -1) -> list[int]:
     equitable, so the signatures of the previous round split nothing; the
     round after individualization starts from them with v's cell split.
     """
-    if v < 0:
+    if cells is None:
         by_degree: dict[int, int] = {}
         for u, row in enumerate(adj):
             d = row.bit_count()
@@ -385,11 +390,9 @@ def _refine(adj: Sequence[int], colors: list[int], v: int = -1) -> list[int]:
         cells = [by_degree[d] for d in sorted(by_degree)]
         split = cells[:-1]
     else:
-        cells = [0] * (max(colors) + 1)
-        for u, c in enumerate(colors):
-            cells[c] |= 1 << u
-        c, bit = colors[v], 1 << v
-        split = []
+        bit = 1 << v
+        c = next(c for c, cell in enumerate(cells) if cell & bit)
+        cells, split = cells[:], []
         if cells[c] != bit:
             cells[c:c + 1] = [bit, cells[c] ^ bit]
             split = [bit]
@@ -422,22 +425,13 @@ def _refine(adj: Sequence[int], colors: list[int], v: int = -1) -> list[int]:
                     continue
             out.append(cell)
         cells = out
-    colors = [0] * len(adj)
-    for c, cell in enumerate(cells):
-        while cell:
-            low = cell & -cell
-            cell ^= low
-            colors[low.bit_length() - 1] = c
-    return colors
+    return cells
 
 
-def _target_cell(colors: list[int]) -> int:
-    """The least colour that two or more vertices share; -1 when the
-    colouring is discrete."""
-    counts = [0] * len(colors)  # refined colours are ranks below n
-    for c in colors:
-        counts[c] += 1
-    return next((c for c, k in enumerate(counts) if k > 1), -1)
+def _target_cell(cells: list[int]) -> int:
+    """The first cell with two or more vertices; 0 when the partition is
+    discrete."""
+    return next((cell for cell in cells if cell & (cell - 1)), 0)
 
 
 def canonical_form(g: Graph) -> str:
@@ -458,11 +452,11 @@ def canonical_form(g: Graph) -> str:
     best_key = best_order = None
     autos: list[list[int]] = []
 
-    def search(colors: list[int], prefix: tuple[int, ...]) -> None:
+    def search(cells: list[int], prefix: tuple[int, ...]) -> None:
         nonlocal best_key, best_order
-        target = _target_cell(colors)
-        if target < 0:
-            order = sorted(range(n), key=colors.__getitem__)
+        target = _target_cell(cells)
+        if not target:
+            order = [cell.bit_length() - 1 for cell in cells]
             key = _pair_bits(adj, order)
             if best_key is None or key < best_key:
                 best_key, best_order = key, order
@@ -472,17 +466,16 @@ def canonical_form(g: Graph) -> str:
                     sigma[b] = o
                 autos.append(sigma)
             return
-        tried: list[int] = []
-        for v in range(n):
-            if colors[v] != target:
-                continue
-            gens = [a for a in autos if all(a[p] == p for p in prefix)]
-            if any(u in _orbit(v, gens) for u in tried):
-                continue
-            tried.append(v)
-            search(_refine(adj, colors, v), prefix + (v,))
+        tried: set[int] = set()
+        for v in bits(target):
+            if tried:
+                gens = [a for a in autos if all(a[p] == p for p in prefix)]
+                if _orbit(v, gens) & tried:
+                    continue
+            tried.add(v)
+            search(_refine(adj, cells, v), prefix + (v,))
 
-    search(_refine(adj, [0] * n), ())
+    search(_refine(adj), ())
     # search's closure holds search; clearing it frees the search state at
     # return, not at a later cyclic collection
     del search
@@ -501,17 +494,17 @@ def _orbit(v: int, perms: Sequence[Sequence[int]]) -> set[int]:
     return orbit
 
 
-def _greedy_leaf(adj: Sequence[int], colors: list[int], path: list | None = None) -> list[int]:
-    """The vertices in colour order at the discrete colouring reached from
-    the refined ``colors`` by individualizing, at each level, the lowest
+def _greedy_leaf(adj: Sequence[int], cells: list[int], path: list | None = None) -> list[int]:
+    """The vertices in cell order at the discrete partition reached from
+    the refined ``cells`` by individualizing, at each level, the lowest
     vertex of the target cell. ``path``, when given, receives each level's
-    (colours, target cell, vertex)."""
-    while (target := _target_cell(colors)) >= 0:
-        v = colors.index(target)
+    (cells, target cell, vertex)."""
+    while target := _target_cell(cells):
+        v = (target & -target).bit_length() - 1
         if path is not None:
-            path.append((colors, target, v))
-        colors = _refine(adj, colors, v)
-    return sorted(range(len(colors)), key=colors.__getitem__)
+            path.append((cells, target, v))
+        cells = _refine(adj, cells, v)
+    return [cell.bit_length() - 1 for cell in cells]
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -532,15 +525,15 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """
     adj = g.adj
     path: list = []
-    first = _greedy_leaf(adj, _refine(adj, [0] * g.n), path)
+    first = _greedy_leaf(adj, _refine(adj), path)
     key = _pair_bits(adj, first)
     gens: list[tuple[int, ...]] = []
-    for colors, target, v in reversed(path):
+    for cells, target, v in reversed(path):
         orbit = _orbit(v, gens)
-        for w in range(g.n):
-            if colors[w] != target or w in orbit:
+        for w in bits(target):
+            if w in orbit:
                 continue
-            leaf = _greedy_leaf(adj, _refine(adj, colors, w))
+            leaf = _greedy_leaf(adj, _refine(adj, cells, w))
             if _pair_bits(adj, leaf) == key:
                 sigma = [0] * g.n
                 for a, b in zip(first, leaf):
@@ -568,8 +561,10 @@ def orbits(g: Graph) -> tuple[list[int], list[int]]:
     Aut(g)."""
     gens = automorphisms(g)
     edges = g.edges()
-    index = {e: i for i, e in enumerate(edges)}
-    edge_perms = [[index[min(s[u], s[v]), max(s[u], s[v])] for u, v in edges] for s in gens]
+    index: dict[tuple[int, int], int] = {}
+    for i, (u, v) in enumerate(edges):
+        index[u, v] = index[v, u] = i
+    edge_perms = [[index[s[u], s[v]] for u, v in edges] for s in gens]
     return _least_in_orbit(g.n, gens), _least_in_orbit(len(edges), edge_perms)
 
 

@@ -254,3 +254,9 @@ def ref_refine(nbrs: list[list[int]], colors: list[int], v: int = -1) -> list[in
         if new == colors:
             return new
         colors = new
+
+
+def cell_colours(cells: list[int], n: int) -> list[int]:
+    """The colour list of a partition given as an ordered list of cell
+    bitmasks: vertex u gets the index of its cell."""
+    return [next(c for c, cell in enumerate(cells) if cell >> u & 1) for u in range(n)]

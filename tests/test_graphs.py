@@ -26,9 +26,10 @@ from tdlab import (
     to_edge_list,
     to_graph6,
 )
-from tdlab.graphs import GRAPH6_MAX_N, _refine, _target_cell, automorphisms, mask_components, orbits
+from tdlab.graphs import GRAPH6_MAX_N, _refine, _target_cell, automorphisms, bits, mask_components, orbits
 
 from oracles import (
+    cell_colours,
     disjoint_union,
     ref_decode_graph6,
     ref_isomorphic,
@@ -307,30 +308,52 @@ def test_canonical_form_is_invariant_where_refinement_stalls():
 
 
 def _assert_refine_matches_the_reference(g):
-    """_refine against ref_refine from the unit colouring, and at every
+    """_refine against ref_refine from the unit partition, and at every
     level of the greedy path after individualizing each vertex of the
     target cell."""
     nbrs = [[u for u in range(g.n) if g.has_edge(u, v)] for v in range(g.n)]
-    colors = _refine(g.adj, [0] * g.n)
+    cells = _refine(g.adj)
+    colors = cell_colours(cells, g.n)
     assert colors == ref_refine(nbrs, [0] * g.n), to_graph6(g)
-    while (target := _target_cell(colors)) >= 0:
-        for w in range(g.n):
-            if colors[w] == target:
-                assert _refine(g.adj, colors, w) == ref_refine(nbrs, colors, w), (to_graph6(g), colors, w)
-        colors = _refine(g.adj, colors, colors.index(target))
+    while target := _target_cell(cells):
+        for w in bits(target):
+            refined = cell_colours(_refine(g.adj, cells, w), g.n)
+            assert refined == ref_refine(nbrs, colors, w), (to_graph6(g), colors, w)
+        cells = _refine(g.adj, cells, (target & -target).bit_length() - 1)
+        colors = cell_colours(cells, g.n)
+
+
+def _refine_inputs(rng):
+    """The family graphs under seeded relabelings."""
+    families = ([cycle_complement(n) for n in range(8, 17)] + [g4k(k) for k in range(2, 5)]
+                + [andrasfai(k) for k in range(3, 7)] + [h_graph(n) for n in range(5, 9)]
+                + [k_net(k) for k in range(5, 8)] + [clique_prism(a) for a in range(4, 7)])
+    return [g.relabeled(rng.sample(range(g.n), g.n)) for g in families]
 
 
 def test_refine_matches_the_sorted_signature_reference():
     # seeded G(n, p) with n <= 12, the regular corpus, where the first
     # round splits nothing, and the family graphs under seeded relabelings
     rng = random.Random(2801)
-    families = ([cycle_complement(n) for n in range(8, 17)] + [g4k(k) for k in range(2, 5)]
-                + [andrasfai(k) for k in range(3, 7)] + [h_graph(n) for n in range(5, 9)]
-                + [k_net(k) for k in range(5, 8)] + [clique_prism(a) for a in range(4, 7)])
     graphs = [random_graph(rng, n=rng.randint(0, 12)) for _ in range(600)] + regular_corpus()
-    graphs += [g.relabeled(rng.sample(range(g.n), g.n)) for g in families]
+    graphs += _refine_inputs(rng)
     for g in graphs:
         _assert_refine_matches_the_reference(g)
+
+
+def test_refine_leaves_its_input_cells_unchanged():
+    # automorphisms keeps each level's cells on its path and refines them
+    # again for every vertex of the target cell; a _refine that changed
+    # them would corrupt the later descents and only lose automorphisms
+    graphs = regular_corpus() + _refine_inputs(random.Random(2901))
+    for g in graphs:
+        cells = _refine(g.adj)
+        while target := _target_cell(cells):
+            before = list(cells)
+            for w in bits(target):
+                assert _refine(g.adj, cells, w) is not cells
+                assert cells == before, (to_graph6(g), w)
+            cells = _refine(g.adj, cells, (target & -target).bit_length() - 1)
 
 
 def _true_orbits(g):

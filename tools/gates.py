@@ -31,7 +31,7 @@ import tdlab
 from tdlab.verify import _graphs_upto
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import regular_corpus  # noqa: E402
+from oracles import cell_colours, regular_corpus  # noqa: E402
 
 # The six screens of the census-n7 benchmark workload: (--critical, --td),
 # each run over all graphs on 7 vertices with --non-1-unique.
@@ -190,17 +190,19 @@ def canonical_gate() -> str:
 
 
 def refine_gate() -> str:
-    """The colourings that graphs._refine returns over the canonical-form
-    corpus: from the unit colouring, and after individualizing each vertex
-    in that result. It pins the colour order itself, apart from the strings
-    built on it. It passes adjacency rows, so a package whose _refine still
-    takes neighbour lists has no such line."""
+    """The colourings that graphs._refine gives over the canonical-form
+    corpus: from the unit partition, and after individualizing each vertex
+    in that result. _refine returns an ordered list of cell bitmasks; the
+    digest hashes the colour lists ``oracles.cell_colours`` derives from
+    them (the colour of a vertex is the index of its cell). It pins the
+    cell order itself, apart from the strings built on it."""
     graphs = _canonical_corpus()
     digest = hashlib.sha256()
     count = 0
     for g in graphs:
-        unit = tdlab.graphs._refine(g.adj, [0] * g.n)
-        colorings = [unit] + [tdlab.graphs._refine(g.adj, unit, v) for v in range(g.n)]
+        unit = tdlab.graphs._refine(g.adj)
+        partitions = [unit] + [tdlab.graphs._refine(g.adj, unit, v) for v in range(g.n)]
+        colorings = [cell_colours(cells, g.n) for cells in partitions]
         count += len(colorings)
         digest.update("".join(f"{c}\n" for c in colorings).encode())
     return f"_refine n<=10, unit and first individualizations: {len(graphs)} graphs, {count} colourings {digest.hexdigest()}"
