@@ -33,26 +33,31 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def mask_component(adj: Sequence[int], mask: int) -> int:
+    """The component of the subgraph induced by ``mask`` that holds its
+    lowest vertex, as a bitmask; 0 for the empty mask."""
+    comp = frontier = mask & -mask
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown |= adj[low.bit_length() - 1]
+        frontier = grown & mask & ~comp
+        comp |= frontier
+    return comp
+
+
 def mask_components(adj: Sequence[int], mask: int) -> list[int]:
     """Connected components of the subgraph induced by ``mask``.
 
     Returned as bitmasks in ascending order of smallest member vertex.
     """
     comps = []
-    rem = mask
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            grown = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grown |= adj[low.bit_length() - 1]
-            frontier = grown & rem & ~comp
-            comp |= frontier
+    while mask:
+        comp = mask_component(adj, mask)
         comps.append(comp)
-        rem &= ~comp
+        mask ^= comp
     return comps
 
 

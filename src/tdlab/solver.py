@@ -70,13 +70,18 @@ _certificate looks for such a C. It grows C from {x} by extension sets
 (Wernicke, "Efficient detection of network motifs", 2006), so it meets
 each connected set through x once: it branches on each vertex w of the
 candidate set ext and gives the child the rest of ext plus the neighbours
-of w in F. C stops growing at k + 1 vertices and once |F| < 2: a larger
+of w in F. _grow tests each child C + w inside its parent's loop, and
+calls itself only for a child that can still grow, in the same depth-first
+preorder. C stops growing at k + 1 vertices and once |F| < 2: a larger
 C has td >= 2, so it needs |F| >= td C >= 2, and F only shrinks as C
 grows. With slack = |C| + |F| - (k + 1), a C is turned down without a
 solve when slack is below td of the set it grew from, a lower bound on
-td C; td C is solved only when slack < |C|, and td F last. Both are
-strict subsets of S (|C| <= k + 1 < |S|, since d >= 1, and F misses x),
-so the recursion answers them exactly and every memo entry stays exact.
+td C; td C is solved only when slack < |C|, and td F last. The last
+vertex, at |C| = k + 1, is decided with no solve of F, for there
+slack = |F| >= td F. Both are strict subsets of S (|C| <= k + 1 < |S|,
+since d >= 1, and F misses x), so the recursion answers them exactly and
+every memo entry stays exact. C is connected as grown, so its depth is
+read from the memo or solved by the scan with no component pass.
 
 A set C' grown from C has slack' <= slack + min(|ext|, k + 1 - |C|). C'
 adds vertices of ext, which lie outside F, and vertices of F; each added
@@ -86,7 +91,8 @@ or more vertices. So the search drops a branch, and the rest of the
 loop, whose ext only shrinks, once that bound falls below max(floor, 2),
 floor being the lower bound on td C it holds. On the 54 seed-1 graphs of
 the solve-gnp benchmark this bound cut the searches from 128,403 calls
-to 80,966.
+to 80,966, and deciding each child in its parent's loop cut them to
+36,332, with the same sets found.
 
 _settle applies the rule. At k = 0, S - x is complete and x misses some
 vertex y, so C = {x} and F = {y} give T = d with no search. At k = 1 and
@@ -127,7 +133,10 @@ misses three vertices of fy, a triangle.
 
 Every memo entry is exact; the early exits only leave some subsets unsolved.
 This one recursion answers every question; tree_depth_decision(g, k)
-compares its value with k.
+compares its value with k. An unsolved subset grows only the component of
+its lowest vertex (graphs.mask_component): the whole subset goes to the
+scan, and any other takes the larger of that component's depth and the
+depth of the rest.
 
 The memo is dense: one bytearray of 2^n bytes per solver, indexed by the
 subset mask. A nonempty subset has td >= 1, so 0 means "unsolved", and
@@ -155,12 +164,13 @@ path joins them whose inner vertices all lie in D (the neighbourhood of
 each component of g[D] becomes a clique, then D is deleted). h stays in
 g's vertex numbering with its dropped set D (empty for an edge deletion,
 the merged-away vertex for a contraction) out of every mask. A subset S
-that h and g induce alike is solved by g's solver; so are the sets C and
-F of an inherited _settle, which asks h's own td. Any other S starts its
-scan with hi = td_g(S + D) - max(1, td_g(D)) in place of 0, when g's memo
-holds td_g(S + D); then the scan stops as soon as 1 + min td_h(S - x)
-reaches it. The floor holds because td(h[S]) >= td(g[S + D]) -
-max(1, td(g[D])):
+that h and g induce alike is solved by g's solver, whether it comes to td
+or, known to be connected, to _td_grown; one test (_alike) routes both.
+So are the sets C and F of an inherited _settle, which asks h's own td.
+Any other S starts its scan with hi = td_g(S + D) - max(1, td_g(D)) in
+place of 0, when g's memo holds td_g(S + D); then the scan stops as soon
+as 1 + min td_h(S - x) reaches it. The floor holds because
+td(h[S]) >= td(g[S + D]) - max(1, td(g[D])):
 
 * h[S] = g[S] - uv and h[S] = g[S + v]/uv are single-step minors of g[S]
   and g[S + v], at most one level shallower (proof in the criticality
@@ -187,7 +197,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError
-from .graphs import Graph, bits, mask_components
+from .graphs import Graph, bits, mask_component, mask_components
 
 # The one vertex cap; no caller can change it. It also bounds memory: at
 # most two memos of 2^n bytes live at once, 64 MB at n = 25 (module docstring).
@@ -217,12 +227,20 @@ class _SubsetSolver:
         cached = self.memo[mask]
         if cached:
             return cached
-        comps = mask_components(self.adj, mask)
-        if len(comps) > 1:
-            val = max(self.td(c) for c in comps)
-        else:
+        comp = mask_component(self.adj, mask)
+        if comp == mask:
             val = self._td_connected(mask)
+        else:
+            val = max(self._td_grown(comp), self.td(mask ^ comp))
         self.memo[mask] = val
+        return val
+
+    def _td_grown(self, mask: int) -> int:
+        """td of a nonempty subset known to be connected: from the memo, or
+        by the scan with no component pass."""
+        val = self.memo[mask]
+        if not val:
+            val = self.memo[mask] = self._td_connected(mask)
         return val
 
     def _td_connected(self, mask: int, hi: int = 0) -> int:
@@ -289,36 +307,43 @@ class _SubsetSolver:
         """A connected set C through the vertex ``bit`` of at most ``need``
         vertices such that C and F, the vertices of the subset with no
         neighbour in C, induce a graph of surplus >= ``need``; 0 if there is
-        none (module docstring)."""
-        near = self.adj[bit.bit_length() - 1] & mask
-        return self._grow(bit, near, mask & ~near ^ bit, need, 1)
+        none (module docstring). The search starts from the empty set, whose
+        one extension is the vertex."""
+        return self._grow(0, bit, mask ^ bit, need, 1, 1)
 
-    def _grow(self, c: int, ext: int, far: int, need: int, floor: int) -> int:
+    def _grow(self, c: int, ext: int, far: int, need: int, floor: int, least: int) -> int:
         """_certificate's search among the connected sets that grow ``c`` by
         vertices of ``ext`` and of the neighbours they bring in from ``far``,
-        the subset less N[c]. Each set is met once. ``floor`` <= td(c)."""
-        size = c.bit_count()
-        slack = size + far.bit_count() - need
-        if slack >= floor:
-            if slack < size:
-                floor = self.td(c)
-            if floor <= slack and self.td(far) <= slack:
-                return c
-        if size == need or not far & (far - 1):
-            return 0  # a larger C has td >= 2 and needs |F| >= 2
-        # a larger C grown from here has slack at most
-        # slack + min(|ext|, need - size), and needs slack >= max(floor, 2)
-        least = max(floor, 2) - slack
-        if need - size < least:
-            return 0
+        the subset less N[c]. Each set is met once, and tested in this loop
+        before any set grown from it. ``floor`` is a lower bound on td of
+        each set; the loop ends once ``ext`` holds fewer than ``least``
+        vertices, too few for any set grown from c to pass."""
+        size = c.bit_count() + 1  # the size of each set tested here
+        room = need - size
         adj = self.adj
         while ext and ext.bit_count() >= least:
             low = ext & -ext
             ext ^= low
             near = adj[low.bit_length() - 1]
-            found = self._grow(c | low, ext | near & far, far & ~near, need, floor)
-            if found:
-                return found
+            child, rest = c | low, far & ~near
+            slack = size + rest.bit_count() - need
+            depth = floor
+            if slack >= floor:
+                if slack < size:
+                    depth = self._td_grown(child)
+                # with no room left, slack = |F| >= td(F)
+                if depth <= slack and (not room or self.td(rest) <= slack):
+                    return child
+            if not room or not rest & (rest - 1):
+                continue  # a larger C has td >= 2 and needs |F| >= 2
+            # a larger C grown from child has slack at most
+            # slack + min(|ext|, room), and needs slack >= max(depth, 2)
+            grow = max(depth, 2) - slack
+            more = ext | near & far
+            if grow <= room and grow <= more.bit_count():
+                found = self._grow(child, more, rest, need, depth, grow)
+                if found:
+                    return found
         return 0
 
 
@@ -395,15 +420,22 @@ class _MinorSolver(_SubsetSolver):
         self.diff = [(a ^ b) & ~dropped for a, b in zip(adj, parent.adj)]
         self.changed = sum(1 << w for w, d in enumerate(self.diff) if d)
 
-    def td(self, mask: int) -> int:
+    def _alike(self, mask: int) -> bool:
+        """Do h and g induce the same graph on the subset?"""
         diff = self.diff
         rest = mask & self.changed
         while rest:
             low = rest & -rest
             rest ^= low
             if diff[low.bit_length() - 1] & mask:
-                return super().td(mask)
-        return self.parent.td(mask)
+                return False
+        return True
+
+    def td(self, mask: int) -> int:
+        return self.parent.td(mask) if self._alike(mask) else super().td(mask)
+
+    def _td_grown(self, mask: int) -> int:
+        return self.parent._td_grown(mask) if self._alike(mask) else super()._td_grown(mask)
 
     def _td_connected(self, mask: int, hi: int = 0) -> int:
         known = self.parent.memo[mask | self.dropped]

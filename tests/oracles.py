@@ -5,9 +5,12 @@ the package: feasibility by per-pair path search, tree-depth by label
 enumeration or by the shortcut-free recursion on vertex sets, isomorphism by
 permutation scan, graph6 by direct bit reading, vertex connectivity by
 scanning vertex cuts, colour refinement by ranking every vertex's sorted
-neighbour colours in every round. The graph constructions the package does not need,
-the star-clique transform, the disjoint union and seeded random regular
-graphs, are built here from edge lists.
+neighbour colours in every round. ``ref_certificate`` is the subset
+solver's certificate search in its recursive form, one call per connected
+set it meets, kept to pin the set that the solver's loop returns. The graph
+constructions the package does not need, the star-clique transform, the
+disjoint union and seeded random regular graphs, are built here from edge
+lists.
 """
 
 from __future__ import annotations
@@ -127,6 +130,12 @@ def _components(nbrs: list[set[int]], vs: frozenset) -> list[frozenset]:
         left -= comp
         comps.append(frozenset(comp))
     return comps
+
+
+def ref_components(n: int, edges: list[tuple[int, int]], vs) -> list[frozenset]:
+    """Components of the vertex set by DFS, in ascending order of smallest
+    vertex."""
+    return _components(_neighbour_sets(n, edges), frozenset(vs))
 
 
 def ref_vertex_connectivity(n: int, edges: list[tuple[int, int]]) -> int:
@@ -260,3 +269,36 @@ def cell_colours(cells: list[int], n: int) -> list[int]:
     """The colour list of a partition given as an ordered list of cell
     bitmasks: vertex u gets the index of its cell."""
     return [next(c for c, cell in enumerate(cells) if cell >> u & 1) for u in range(n)]
+
+
+def ref_certificate(solver, mask: int, bit: int, need: int) -> int:
+    """The certificate search through the vertex ``bit`` of the subset
+    ``mask``, one call of _ref_grow per connected set it meets, in the same
+    depth-first order as the solver's; depths come from ``solver.td``."""
+    near = solver.adj[bit.bit_length() - 1] & mask
+    return _ref_grow(solver, bit, near, mask & ~near ^ bit, need, 1)
+
+
+def _ref_grow(solver, c: int, ext: int, far: int, need: int, floor: int) -> int:
+    size = c.bit_count()
+    slack = size + far.bit_count() - need
+    if slack >= floor:
+        if slack < size:
+            floor = solver.td(c)
+        if floor <= slack and solver.td(far) <= slack:
+            return c
+    if size == need or not far & (far - 1):
+        return 0  # a larger C has td >= 2 and needs |F| >= 2
+    # a larger C grown from here has slack at most
+    # slack + min(|ext|, need - size), and needs slack >= max(floor, 2)
+    least = max(floor, 2) - slack
+    if need - size < least:
+        return 0
+    while ext and ext.bit_count() >= least:
+        low = ext & -ext
+        ext ^= low
+        near = solver.adj[low.bit_length() - 1]
+        found = _ref_grow(solver, c | low, ext | near & far, far & ~near, need, floor)
+        if found:
+            return found
+    return 0

@@ -26,11 +26,21 @@ from tdlab import (
     to_edge_list,
     to_graph6,
 )
-from tdlab.graphs import GRAPH6_MAX_N, _refine, _target_cell, automorphisms, bits, mask_components, orbits
+from tdlab.graphs import (
+    GRAPH6_MAX_N,
+    _refine,
+    _target_cell,
+    automorphisms,
+    bits,
+    mask_component,
+    mask_components,
+    orbits,
+)
 
 from oracles import (
     cell_colours,
     disjoint_union,
+    ref_components,
     ref_decode_graph6,
     ref_isomorphic,
     ref_refine,
@@ -93,6 +103,20 @@ def test_components_and_connectivity_flags():
     assert path(3).is_connected()
     assert Graph.from_edges(0, []).is_connected()
     assert not Graph.from_edges(2, []).is_connected()
+
+
+def test_mask_component_is_the_first_dfs_component():
+    # the component of a mask's lowest vertex, on seeded masks of seeded
+    # graphs, against the first component of the oracle's DFS
+    rng = random.Random(3016)
+    for _ in range(300):
+        g = random_graph(rng, n=rng.randrange(1, 13))
+        for _ in range(8):
+            mask = rng.getrandbits(g.n)
+            want = ref_components(g.n, g.edges(), bits(mask))
+            got = mask_component(g.adj, mask)
+            assert set(bits(got)) == (want[0] if want else set()), (g.edges(), mask)
+    assert mask_component(path(3).adj, 0) == 0
 
 
 def test_delete_edge():

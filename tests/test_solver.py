@@ -38,10 +38,11 @@ from tdlab import criticality as criticality_module
 from tdlab import solver as solver_module
 from tdlab.criticality import _MinorTable
 from tdlab.graphs import bits, mask_components
-from tdlab.solver import MAX_VERTICES, _no_f1_through, _no_f2_through, _solver_for, _SubsetSolver
+from tdlab.solver import MAX_VERTICES, _MinorSolver, _no_f1_through, _no_f2_through, _solver_for, _SubsetSolver
 
 from oracles import (
     disjoint_union,
+    ref_certificate,
     ref_feasible,
     ref_tree_depth,
     ref_tree_depth_dp,
@@ -300,6 +301,50 @@ def test_certificate_search_matches_the_shortcut_free_recursion_past_seven_verti
                 assert solver._settle(mask, 1 << x, d) == exact, where
             outcomes[k].add(exact - d)
     assert outcomes == {3: {0, 1}, 4: {0, 1}, 5: {0, 1}}
+
+
+def test_certificate_returns_the_recursive_search_set():
+    # every settle case of seeded sparse G(n, m), n = 14..16, p = .3 and
+    # .35, that the scans of one solve meet, with need = |S| - d in 3..9:
+    # the flat search returns the set that the one-call-per-set search of
+    # oracles.ref_certificate returns. Each set found is connected, holds x,
+    # has at most need vertices, and with F it induces surplus >= need by
+    # the shortcut-free recursion. The floor counts the negative searches
+    # at need >= 6, where the search walks the most sets
+    rng = random.Random(3015)
+    outcomes = collections.Counter()
+    for i in range(12):
+        n, p = 14 + i % 3, (0.3, 0.35)[i // 3 % 2]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph.from_edges(n, rng.sample(pairs, round(p * len(pairs))))
+        td = ref_tree_depth_dp(n, g.edges())
+        solver, cases = _SubsetSolver(g.adj), []
+        settle = solver._settle
+
+        def recording(mask, bit, depth):
+            cases.append((mask, bit, depth))
+            return settle(mask, bit, depth)
+
+        solver._settle = recording
+        solver.td(g.full_mask())
+        for mask, bit, depth in cases:
+            need = mask.bit_count() - depth
+            if not 3 <= need <= 9:
+                continue
+            found = solver._certificate(mask, bit, need)
+            where = (to_graph6(g), mask, bit, need)
+            assert found == ref_certificate(solver, mask, bit, need), where
+            outcomes[need >= 6, bool(found)] += 1
+            if found:
+                near = 0
+                for w in bits(found):
+                    near |= g.adj[w] | 1 << w
+                kept = frozenset(bits(found | mask & ~near))
+                assert found & bit and found.bit_count() <= need, where
+                assert len(mask_components(g.adj, found)) == 1, where
+                assert len(kept) - td(kept) >= need, where
+    assert min(outcomes.values()) > 0 and len(outcomes) == 4, outcomes
+    assert outcomes[True, False] >= 40, outcomes
 
 
 def _recorded_settles(monkeypatch):
@@ -678,6 +723,39 @@ def test_minor_solver_memos_are_exact(monkeypatch):
                     entries += check(g.contract_edge(u, v), v)
                 assert not made
     assert not made and entries > 10000
+
+
+def test_minor_solver_routes_connected_sets_by_the_deleted_edge():
+    # an edge-deletion minor solver: a connected set that misses an
+    # endpoint of the edge is answered by the parent, and the minor's memo
+    # stays 0 there; a connected set of h that holds both endpoints is
+    # solved in the minor, at td(h[S]). Both entry points, td and the one
+    # for sets known to be connected, route alike
+    rng = random.Random(3017)
+    routed = solved = 0
+    for _ in range(20):
+        g = random_graph(rng, n=rng.randrange(5, 10), p=0.5)
+        if not g.edges():
+            continue
+        u, v = rng.choice(g.edges())
+        h = g.delete_edge(u, v)
+        td_g, td_h = ref_tree_depth_dp(g.n, g.edges()), ref_tree_depth_dp(h.n, h.edges())
+        for grown in (False, True):
+            parent = _SubsetSolver(g.adj)
+            minor = _MinorSolver(parent, h.adj)
+            ask = minor._td_grown if grown else minor.td
+            for mask in range(1, 1 << g.n):
+                vs = frozenset(bits(mask))
+                if len(mask_components(h.adj, mask)) > 1:
+                    continue
+                if mask >> u & mask >> v & 1:
+                    assert ask(mask) == minor.memo[mask] == td_h(vs), (g.edges(), u, v, mask)
+                    solved += 1
+                else:
+                    assert ask(mask) == parent.memo[mask] == td_g(vs), (g.edges(), u, v, mask)
+                    assert minor.memo[mask] == 0
+                    routed += 1
+    assert routed > 2000 and solved > 500, (routed, solved)
 
 
 def test_elimination_solver_memos_are_exact(monkeypatch):

@@ -28,6 +28,8 @@ import tokenize
 from pathlib import Path
 
 import tdlab
+from tdlab.graphs import bits, mask_components
+from tdlab.solver import _SubsetSolver
 from tdlab.verify import _graphs_upto
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -163,6 +165,35 @@ def solve_sequence_gate(sizes: range = range(10, 16), seed: int = 1015) -> str:
                 digest.update(f"{tdlab.to_graph6(g)} {w} {at} {below} {back}\n".encode())
                 count += 1
     return f"solve sequence G(n, m) {sizes[0]}<=n<={sizes[-1]}: {count} graphs {digest.hexdigest()}"
+
+
+def certificate_gate() -> str:
+    """The sets that the solver's certificate search returns on settle
+    cases of seeded G(n, m) with 12 <= n <= 16 and p = .3, .35 and .5: in
+    each graph, every component of four or more vertices of 60 random
+    subsets is an S, each vertex x of S that is not universal in S is
+    tried, and need = |S| - td(S - x), one more than the surplus of S - x."""
+    rng = random.Random(3018)
+    digest = hashlib.sha256()
+    count = found = 0
+    for n in range(12, 17):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for p in (0.3, 0.35, 0.5):
+            g = tdlab.Graph.from_edges(n, rng.sample(pairs, round(p * len(pairs))))
+            solver = _SubsetSolver(g.adj)
+            for _ in range(60):
+                for mask in mask_components(g.adj, rng.getrandbits(n)):
+                    if mask.bit_count() < 4:
+                        continue
+                    for x in bits(mask):
+                        bit = 1 << x
+                        if g.adj[x] & mask != mask ^ bit:
+                            need = mask.bit_count() - solver.td(mask ^ bit)
+                            got = solver._certificate(mask, bit, need)
+                            digest.update(f"{tdlab.to_graph6(g)} {mask} {x} {need} {got}\n".encode())
+                            count += 1
+                            found += got > 0
+    return f"_certificate G(n, m) 12<=n<=16: {count} settle cases, {found} found {digest.hexdigest()}"
 
 
 def _canonical_corpus() -> list[tdlab.Graph]:
@@ -325,6 +356,7 @@ def code_lines(package: Path) -> int:
 def main() -> None:
     graph_gates = [report_gate(), random_report_gate(), family_report_gate(), orbit_gate(),
                    large_report_gate(), spanning_subgraph_gate(), solve_sequence_gate(), solve_sequence_gate(range(16, 19), 1618),
+                   certificate_gate(),
                    canonical_gate(), refine_gate(), graph6_gate(), induced_gate()]
     for line in labeling_gates() + graph_gates + search_gates() + [stream_gate(), ledger_gate()]:
         print(line)
