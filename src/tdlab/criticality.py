@@ -72,7 +72,10 @@ is the path lemma of the elimination game (Rose, Tarjan and Lueker, 1976).
 L = {} is the star-clique test, so min_t is 1 exactly at the one_unique
 flags. A larger t needs td(g[L]) = t - 1 exactly, since a shallower L
 already passes at a smaller t, and td(g - L - v) <= td(g) - t, since
-g - L - v is a subgraph of elim(g, L + v).
+g - L - v is a subgraph of elim(g, L + v). So min_t is td(g[L]) + 1 for
+the shallowest depth class that holds a passing L, and the order in which
+a class is tried cannot change it. The class of t = 2 needs no depth
+solve: td(g[L]) = 1 iff L is a nonempty independent set.
 """
 
 from __future__ import annotations
@@ -185,24 +188,38 @@ class _MinorTable:
         vertex, the label t; None if there is none (module docstring). 1 at
         a 1-unique flag. Elsewhere v is t-unique iff some nonempty L, a
         subset of V - v with td(g[L]) = t - 1, has
-        td(elim(g, L + v)) <= td(g) - t; L is skipped without a solve when
-        already td(g - L - v), a subgraph of that elimination, is too deep.
-        Past T_UNIQUE_MAX_N vertices, where the 2^(n-1) subsets L are too
-        many to scan, such a v reads None as well.
+        td(elim(g, L + v)) <= td(g) - t; L is skipped without an
+        elimination when already td(g - L - v), a subgraph of that
+        elimination, is too deep. Any order inside a depth class gives the
+        same t, so the scan tries t = 2 first, on the independent sets
+        (td 1, found by bit tests with no depth solve), largest first; only
+        if none passes does it solve the other sets' depths and try them in
+        (td(g[L]), -|L|, L) order. Past T_UNIQUE_MAX_N vertices, where the
+        2^(n-1) subsets L are too many to scan, such a v reads None as well.
         """
         if self.one_unique()[v]:
             return 1
         if self.g.n > T_UNIQUE_MAX_N:
             return None
-        td, bit = self.solver.td, 1 << v
-        rest = sub = self.full ^ bit
+        adj, td, bit = self.g.adj, self.solver.td, 1 << v
+        rest, sub = self.full ^ bit, 0
+        independent, deeper = {0}, []
+        while sub := (sub - rest) & rest:  # ascending: sub ^ low came earlier
+            low = sub & -sub
+            if sub ^ low in independent and not adj[low.bit_length() - 1] & sub:
+                independent.add(sub)
+            else:
+                deeper.append(sub)
+        independent.remove(0)
+        for sub in sorted(independent, key=lambda s: (-s.bit_count(), s)):
+            if 1 + td(rest ^ sub) < self.value and 1 + self._eliminated(sub | bit) < self.value:
+                return 2
         candidates = []
-        while sub:
+        for sub in deeper:
             depth = td(sub)
             if depth + td(rest ^ sub) < self.value:
-                candidates.append((depth, sub))
-            sub = (sub - 1) & rest
-        for depth, sub in sorted(candidates):
+                candidates.append((depth, -sub.bit_count(), sub))
+        for depth, _, sub in sorted(candidates):
             if depth + self._eliminated(sub | bit) < self.value:
                 return depth + 1
         return None

@@ -240,6 +240,34 @@ def test_report_subdivided_clique():
     assert r.conjecture_checks == {"order": True, "maxdeg": True}
 
 
+def test_hub_min_t_is_two_after_one_elimination(monkeypatch):
+    # the hub of H4 and of H5 is the one vertex that is not 1-unique; the
+    # largest independent L passes, so under every relabeling min_t reads 2
+    # after one elimination solve past the flags. One H5 relabeling is
+    # checked against the labeling search at every vertex
+    eliminated = []
+
+    def recording_eliminated(self, s):
+        eliminated.append(s)
+        return plain_eliminated(self, s)
+
+    plain_eliminated = _MinorTable._eliminated
+    monkeypatch.setattr(_MinorTable, "_eliminated", recording_eliminated)
+    rng = random.Random(3105)
+    for k in (4, 5):
+        h = h_graph(k)
+        for _ in range(12):
+            g = h.relabeled(rng.sample(range(h.n), h.n))
+            table = _MinorTable(g)
+            flags = table.one_unique()
+            assert flags.count(False) == 1
+            hub = flags.index(False)
+            eliminated.clear()
+            assert table.min_t(hub) == 2
+            assert len(eliminated) == 1, to_graph6(g)
+    assert tuple(map(table.min_t, range(g.n))) == _direct_min_t(g, table.value)
+
+
 def test_report_min_t_outside_cap_is_none():
     r = criticality_report(cycle_complement(9))  # td 8, within the n cap
     assert r.td == 8

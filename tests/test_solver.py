@@ -758,13 +758,34 @@ def test_minor_solver_routes_connected_sets_by_the_deleted_edge():
     assert routed > 2000 and solved > 500, (routed, solved)
 
 
+def _depth_then_mask_scan(table, v):
+    """Eliminate g at the sets L + v in (td(g[L]), L) order, over the L
+    with td(g[L]) + td(g - L - v) < td(g), up to the first that passes: the
+    sets a min_t in that order reaches at a vertex that is not 1-unique,
+    many more than min_t's own order tries."""
+    td, bit = table.solver.td, 1 << v
+    rest = sub = table.full ^ bit
+    candidates = []
+    while sub:
+        depth = td(sub)
+        if depth + td(rest ^ sub) < table.value:
+            candidates.append((depth, sub))
+        sub = (sub - 1) & rest
+    for depth, sub in sorted(candidates):
+        if depth + table._eliminated(sub | bit) < table.value:
+            return
+
+
 def test_elimination_solver_memos_are_exact(monkeypatch):
-    # every memo entry of the elimination solvers that min_t builds, against
-    # the eliminated graph built by star-clique transforms. The floor
-    # td_g(S + D) - max(1, td_g(D)) needs td_g(D) there: with 1 in its place
-    # the memo goes wrong for eleven (graph, D) pairs with n <= 7, two of
-    # them on F@hXw, which is 1-unique, so there the kernel runs on every D;
-    # and min_t meets such a D on the n = 8 graphs GUkL@_ and GOS_do
+    # every memo entry of the elimination solvers that the 1-unique flags
+    # and a (depth, L) scan of the sets L + v build, against the eliminated
+    # graph built by star-clique transforms. min_t itself tries few sets
+    # (largest independent L first), so the scan keeps this test's reach.
+    # The floor td_g(S + D) - max(1, td_g(D)) needs td_g(D) there: with 1
+    # in its place the memo goes wrong for eleven (graph, D) pairs with
+    # n <= 7, two of them on F@hXw, which is 1-unique, so there the kernel
+    # runs on every D; and the scan meets such a D, {0, 2, 7}, on the n = 8
+    # graph GUkL@_. GOS_do meets no such D; it stays for its memo entries
     made = []
 
     class Recording(solver_module._MinorSolver):
@@ -796,8 +817,10 @@ def test_elimination_solver_memos_are_exact(monkeypatch):
     entries = 0
     for g in graphs:
         table = _MinorTable(g)
+        flags = table.one_unique()
         for v in range(g.n):
-            table.min_t(v)
+            if not flags[v]:
+                _depth_then_mask_scan(table, v)
         entries += check(g)
     g = parse_graph6("F@hXw")
     table = _MinorTable(g)

@@ -28,6 +28,7 @@ import tokenize
 from pathlib import Path
 
 import tdlab
+from tdlab.criticality import _MinorTable
 from tdlab.graphs import bits, mask_components
 from tdlab.solver import _SubsetSolver
 from tdlab.verify import _graphs_upto
@@ -99,6 +100,25 @@ def random_report_gate() -> str:
         if tdlab.tree_depth(g).value <= 6:
             graphs.append(g)
     return f"criticality_report 8<=n<=10, td<=6: {count} random graphs {_report_digest(graphs)}"
+
+
+def min_t_gate() -> str:
+    """_MinorTable.min_t at every vertex of 150 seeded G(n, m) graphs with
+    8 <= n <= 10 and td >= 7, asked vertex by vertex: the deep part of the
+    t-uniqueness range, which the random report gate leaves out."""
+    count = 150
+    rng = random.Random(1031)
+    digest = hashlib.sha256()
+    made = 0
+    while made < count:
+        n = rng.randint(8, 10)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = tdlab.Graph.from_edges(n, rng.sample(pairs, round(rng.choice((0.6, 0.75, 0.9)) * len(pairs))))
+        if tdlab.tree_depth(g).value >= 7:
+            table = _MinorTable(g)
+            digest.update(f"{tdlab.to_graph6(g)} {[table.min_t(v) for v in range(n)]}\n".encode())
+            made += 1
+    return f"min_t 8<=n<=10, td>=7: {count} G(n, m) graphs {digest.hexdigest()}"
 
 
 def _family_graphs() -> list[tdlab.Graph]:
@@ -354,7 +374,7 @@ def code_lines(package: Path) -> int:
 
 
 def main() -> None:
-    graph_gates = [report_gate(), random_report_gate(), family_report_gate(), orbit_gate(),
+    graph_gates = [report_gate(), random_report_gate(), min_t_gate(), family_report_gate(), orbit_gate(),
                    large_report_gate(), spanning_subgraph_gate(), solve_sequence_gate(), solve_sequence_gate(range(16, 19), 1618),
                    certificate_gate(),
                    canonical_gate(), refine_gate(), graph6_gate(), induced_gate()]
