@@ -31,6 +31,20 @@ vertex kept as u) are subgraphs of h on V - v, since h keeps every edge of
 g - v and u's new neighbours N(v) - u lie in the clique on N(v).
 Hence td(g/uv) <= td(h) < td(g), and likewise when u is 1-unique.
 
+The mirror rule: a vertex v with td(g - v) = td(g) settles its flag and
+every edge uv at it, for none of them lowers the depth. g - v is a
+spanning subgraph of the star-clique transform at v and of g/uv (merged
+vertex kept as u), and an induced subgraph of g - uv; each of the three
+is at least as deep as g - v. Such a v also has min_t None: were v alone
+labeled t in an optimal labeling, deleting v and lowering each label
+above t by one would label g - v feasibly with td(g) - 1 labels (the map
+keeps the order of the labels left, and a path of g - v has none equal
+to t). And the vertex deletions give the depth
+itself: a connected g has td(g) = 1 + min td(g - v), and that minimum
+can be taken over one vertex of each automorphism orbit. So report()
+solves td(g - v) once per vertex orbit and, for a connected g, reads
+td(g) from those depths with no search over the whole vertex set.
+
 Every answer of the table is constant on the orbits of Aut(g). An
 automorphism s of g maps g - uv, g/uv, g - v and the star-clique transform
 at v onto the same operation at s(u)s(v) or s(v), isomorphic to it (and
@@ -106,19 +120,33 @@ class _MinorTable:
     it, so the subsets that h shares with g are solved once, in the parent.
     The star-clique flags are solved once per table and settle every
     contraction at a 1-unique vertex: G/uv is a subgraph of the transform at
-    u and at v. The parent solver comes from _solver_for. ``value``, when
-    given, must be td(g): it seeds that shared memo.
+    u and at v. The parent solver comes from _solver_for.
+
+    td(g), ``value``, is lazy: the first stage that needs it solves it on
+    the parent solver, unless report() has read it from the vertex
+    deletions first. report() runs its stages in the order vertex
+    deletions (and with them td(g)), flags, edge deletions, contractions,
+    min_t; a vertex whose deletion keeps the depth settles its flag, its
+    min_t and the edges at it (module docstring). ``value``, when given, must be
+    td(g): it seeds the shared memo, as does a depth report() reads.
     """
 
     def __init__(self, g: Graph, value: int | None = None):
+        if g.n == 0:
+            raise ValueError("criticality is defined for nonempty graphs")
         self.g, self.full, self.solver = g, g.full_mask(), _solver_for(g.adj)
-        if value is None:
-            if g.n == 0:
-                raise ValueError("criticality is defined for nonempty graphs")
-            value = self.solver.td(self.full)
-        self.value = self.solver.memo[self.full] = value
+        self._value = value
+        if value is not None:
+            self.solver.memo[self.full] = value
         self._flags: tuple[bool, ...] | None = None
         self._critical = False  # minor_critical() has answered True
+
+    @property
+    def value(self) -> int:
+        """td(g), solved by the parent solver on first use."""
+        if self._value is None:
+            self._value = self.solver.td(self.full)
+        return self._value
 
     def _depth(self, adj: Sequence[int], dropped: int = 0) -> int:
         return _MinorSolver(self.solver, adj, dropped).td(self.full ^ dropped)
@@ -201,7 +229,7 @@ class _MinorTable:
             return 1
         if self.g.n > T_UNIQUE_MAX_N:
             return None
-        adj, td, bit = self.g.adj, self.solver.td, 1 << v
+        adj, td, bit, value = self.g.adj, self.solver.td, 1 << v, self.value
         rest, sub = self.full ^ bit, 0
         independent, deeper = {0}, []
         while sub := (sub - rest) & rest:  # ascending: sub ^ low came earlier
@@ -212,15 +240,15 @@ class _MinorTable:
                 deeper.append(sub)
         independent.remove(0)
         for sub in sorted(independent, key=lambda s: (-s.bit_count(), s)):
-            if 1 + td(rest ^ sub) < self.value and 1 + self._eliminated(sub | bit) < self.value:
+            if 1 + td(rest ^ sub) < value and 1 + self._eliminated(sub | bit) < value:
                 return 2
         candidates = []
         for sub in deeper:
             depth = td(sub)
-            if depth + td(rest ^ sub) < self.value:
+            if depth + td(rest ^ sub) < value:
                 candidates.append((depth, -sub.bit_count(), sub))
         for depth, _, sub in sorted(candidates):
-            if depth + self._eliminated(sub | bit) < self.value:
+            if depth + self._eliminated(sub | bit) < value:
                 return depth + 1
         return None
 
@@ -240,21 +268,33 @@ class _MinorTable:
     def report(self) -> CriticalityReport:
         """The report of the table's graph. Each single question is asked
         once per orbit of automorphisms(g), of edges or of vertices, and its
-        answer copied to the rest of the orbit (module docstring); after a
-        True from minor_critical(), only the flags and min_t are asked."""
-        g, value = self.g, self.value
+        answer copied to the rest of the orbit (module docstring). Unless
+        minor_critical() has answered True, the vertex deletions come
+        first, as exact depths td(g - v); for a connected g whose depth is
+        not yet known they give it, as 1 + their least. A vertex whose
+        deletion keeps the depth settles, with no solve, its flag (False),
+        its min_t (None) and every edge at it (no drop). After a True, only
+        the flags and min_t are asked."""
+        g, full = self.g, self.full
         vertex_reps, edge_reps = orbits(g)
         edges = g.edges()
+        keeps = (False,) * g.n  # after a True, every single-step minor drops the depth
+        if not self._critical:
+            depths = _by_orbit(vertex_reps, lambda v: self.solver.td(full ^ 1 << v))
+            if self._value is None and g.is_connected():
+                self._value = self.solver.memo[full] = 1 + min(depths)
+            keeps = tuple(d == self.value for d in depths)
         if self._flags is None:
-            self._flags = _by_orbit(vertex_reps, self._unique_at)
-        ou = self._flags
-        if self._critical:  # every single-step minor drops the depth
+            self._flags = _by_orbit(vertex_reps, lambda v: not keeps[v] and self._unique_at(v))
+        ou, value = self._flags, self.value
+        if self._critical:
             edge_deltas = contraction_deltas = tuple(_TRIPLES[u, v, 1] for u, v in edges)
-            vertex_deltas = (1,) * g.n
         else:
-            edge_deltas = _edge_table(edges, edge_reps, self.edge_drops)
-            contraction_deltas = _edge_table(edges, edge_reps, self.contraction_drops)
-            vertex_deltas = tuple(map(int, _by_orbit(vertex_reps, self.vertex_drops)))
+            def unsettled(drops: Callable[[int, int], bool]) -> Callable[[int, int], bool]:
+                return lambda u, v: not (keeps[u] or keeps[v]) and drops(u, v)
+            edge_deltas = _edge_table(edges, edge_reps, unsettled(self.edge_drops))
+            contraction_deltas = _edge_table(edges, edge_reps, unsettled(self.contraction_drops))
+        vertex_deltas = tuple(int(not k) for k in keeps)
         sub_critical = all(d for _, _, d in edge_deltas)
         ind_critical = all(vertex_deltas)
         minor_critical = sub_critical and ind_critical and all(d for _, _, d in contraction_deltas)
@@ -265,7 +305,7 @@ class _MinorTable:
             contraction_deltas=contraction_deltas,
             vertex_deletion_deltas=vertex_deltas,
             one_unique=ou,
-            min_t=_by_orbit(vertex_reps, self.min_t),
+            min_t=_by_orbit(vertex_reps, lambda v: None if keeps[v] else self.min_t(v)),
             is_minor_critical=minor_critical,
             is_subgraph_critical=sub_critical,
             is_induced_subgraph_critical=ind_critical,

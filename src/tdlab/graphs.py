@@ -128,7 +128,8 @@ class Graph:
         return (1 << self.n) - 1
 
     def is_connected(self) -> bool:
-        return len(mask_components(self.adj, self.full_mask())) <= 1
+        full = self.full_mask()
+        return mask_component(self.adj, full) == full
 
     # -- minor operations -------------------------------------------------
 

@@ -483,5 +483,6 @@ def tree_depth_decision(g: Graph, k: int) -> bool:
 
 
 def surplus(g: Graph) -> int:
-    """n(g) - td(g); hereditary and monotone under induced subgraphs."""
-    return g.n - tree_depth(g).value
+    """n(g) - td(g); hereditary and monotone under induced subgraphs. The
+    exact solve alone, with no witness."""
+    return g.n - _solver_for(g.adj).td(g.full_mask())

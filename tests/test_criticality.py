@@ -9,6 +9,8 @@ import pytest
 from tdlab import (
     CriticalityReport,
     Graph,
+    andrasfai,
+    clique_prism,
     complete,
     criticality_report,
     critical_spanning_subgraph,
@@ -19,6 +21,7 @@ from tdlab import (
     h_graph,
     is_minor_critical,
     is_one_unique,
+    k_net,
     path,
     pattern,
     to_graph6,
@@ -27,10 +30,11 @@ from tdlab import (
 )
 from tdlab import criticality as criticality_module
 from tdlab.criticality import _MinorTable
-from tdlab.solver import _solver_for
+from tdlab.graphs import bits
+from tdlab.solver import _SubsetSolver, _solver_for
 from tdlab.verify import _direct_min_t
 
-from oracles import disjoint_union, regular_corpus
+from oracles import disjoint_union, ref_tree_depth_dp, regular_corpus
 from test_graphs import random_graph
 
 
@@ -210,6 +214,130 @@ def test_orbit_reduced_report_matches_the_per_question_table():
             tuple(table.edge_deletions()), tuple(table.contractions()),
             tuple(table.vertex_deletions()), table.one_unique(),
             tuple(map(table.min_t, range(g.n)))), to_graph6(g)
+
+
+REPORT_FAMILY = (andrasfai(4), h_graph(5), h_graph(6), cycle_complement(10), cycle_complement(12),
+                 k_net(6), clique_prism(5), g4k(3))
+
+
+def keeps_a_vertex(g):
+    """Does deleting some vertex of g keep its depth?"""
+    value = tree_depth(g).value
+    return any(tree_depth(g.delete_vertex(v)).value == value for v in range(g.n))
+
+
+def graphs_that_keep_a_vertex(seed, per_n=3, sizes=range(6, 12)):
+    """Seeded random graphs, per_n at each n in sizes, each with a vertex
+    whose deletion keeps the depth."""
+    rng = random.Random(seed)
+    graphs = []
+    for n in sizes:
+        made = 0
+        while made < per_n:
+            g = random_graph(rng, n=n)
+            if keeps_a_vertex(g):
+                graphs.append(g)
+                made += 1
+    return graphs
+
+
+def test_report_matches_a_fresh_per_question_table():
+    # the report takes td(g) from its vertex deletions and settles the
+    # flag, min_t and edges of a vertex whose deletion keeps td; a table on
+    # a fresh solver asks every question on its own, with td(g) from the
+    # solver's top-level search. td is also checked against the plain
+    # recursion
+    rng = random.Random(3207)
+    graphs = [g.relabeled(rng.sample(range(g.n), g.n)) for g in REPORT_FAMILY for _ in range(2)]
+    graphs += graphs_that_keep_a_vertex(3208)
+    graphs += [disjoint_union(complete(3), complete(3)), disjoint_union(complete(1), cycle(5)),
+               disjoint_union(path(3), complete(4)), complete(1)]
+    for g in graphs:
+        r = criticality_report(g)
+        _solver_for.cache_clear()  # else the table reads the report's memo entry for td(g)
+        table = _MinorTable(g)
+        assert (r.td, r.edge_deletion_deltas, r.contraction_deltas, r.vertex_deletion_deltas,
+                r.one_unique, r.min_t) == (
+            table.value, tuple(table.edge_deletions()), tuple(table.contractions()),
+            tuple(table.vertex_deletions()), table.one_unique(),
+            tuple(map(table.min_t, range(g.n)))), to_graph6(g)
+        assert r.td == ref_tree_depth_dp(g.n, g.edges())(frozenset(range(g.n))), to_graph6(g)
+
+
+def test_report_runs_no_top_level_certificate_search(monkeypatch):
+    # td(g) of a connected graph is 1 + its least td(g - v), which the
+    # report solves anyway, so the parent solver never settles the full set
+    full_searches = []
+
+    def recording_certificate(self, mask, bit, need):
+        full_searches.append((self, mask))
+        return plain_certificate(self, mask, bit, need)
+
+    plain_certificate = _SubsetSolver._certificate
+    monkeypatch.setattr(_SubsetSolver, "_certificate", recording_certificate)
+    rng = random.Random(3209)
+    for h in (k_net(6), h_graph(6), andrasfai(4), h_graph(5)):
+        for _ in range(12):
+            g = h.relabeled(rng.sample(range(h.n), h.n))
+            full_searches.clear()
+            criticality_report(g)
+            parent = _solver_for(g.adj)
+            assert (parent, g.full_mask()) not in full_searches, to_graph6(g)
+
+
+def minor_operations_at(g, v):
+    """The (adjacency rows, dropped mask) of each _MinorSolver that the
+    minor table builds for v's 1-uniqueness flag, for deleting an edge at v
+    and for contracting one, in g's numbering."""
+    adj = g.adj
+    rows = list(adj)
+    for w in bits(adj[v]):
+        rows[w] |= adj[v] ^ 1 << w
+    ops = {(tuple(rows), 1 << v)}
+    for a, b in g.edges():
+        if v not in (a, b):
+            continue
+        rows = list(adj)
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+        ops.add((tuple(rows), 0))
+        rows = list(adj)
+        rows[a] = (adj[a] | adj[b]) & ~(1 << a | 1 << b)
+        for w in bits(rows[a]):
+            rows[w] |= 1 << a
+        ops.add((tuple(rows), 1 << b))
+    return ops
+
+
+def test_a_vertex_whose_deletion_keeps_td_settles_its_flag_min_t_and_edges(monkeypatch):
+    # g - v is a spanning subgraph of the star-clique transform at v and of
+    # g/uv, and an induced subgraph of g - uv: none of them is shallower; and
+    # a label of v's own would label g - v with td(g) - 1 labels
+    made, scanned = [], []
+
+    class Recording(criticality_module._MinorSolver):
+        def __init__(self, parent, adj, dropped=0):
+            super().__init__(parent, adj, dropped)
+            made.append((tuple(adj), dropped))
+
+    def recording_min_t(self, v):
+        scanned.append(v)
+        return plain_min_t(self, v)
+
+    plain_min_t = _MinorTable.min_t
+    monkeypatch.setattr(criticality_module, "_MinorSolver", Recording)
+    monkeypatch.setattr(_MinorTable, "min_t", recording_min_t)
+    pendant = Graph.from_edges(10, h_graph(5).edges() + [(8, 9)])  # H5 and a leaf at a clique vertex
+    for g in [pendant] + graphs_that_keep_a_vertex(3210, per_n=2):
+        made.clear()
+        scanned.clear()
+        r = criticality_report(g)
+        kept = [v for v, d in enumerate(r.vertex_deletion_deltas) if not d]
+        assert kept, to_graph6(g)
+        for v in kept:
+            assert not r.one_unique[v] and r.min_t[v] is None
+            assert v not in scanned
+            assert not minor_operations_at(g, v) & set(made), to_graph6(g)
 
 
 def test_reports_share_their_edge_entries():

@@ -154,6 +154,24 @@ def large_report_gate() -> str:
             f"{len(graphs)} graphs {_report_digest(graphs)}")
 
 
+def bench_report_gate() -> str:
+    """The reports of the report-family benchmark's members, And(4), H5,
+    H6, co-C10, co-C12, the 6-net, the K5 prism and G_12, under 12 seeded
+    relabelings each, drawn here as the benchmark draws them (a shuffled
+    vertex list per member and round) but from this gate's own seed."""
+    rng = random.Random(3201)
+    members = (tdlab.andrasfai(4), tdlab.h_graph(5), tdlab.h_graph(6), tdlab.cycle_complement(10),
+               tdlab.cycle_complement(12), tdlab.k_net(6), tdlab.clique_prism(5), tdlab.g4k(3))
+    graphs: list[tdlab.Graph] = []
+    for _ in range(12):
+        for g in members:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs.append(g.relabeled(perm))
+    return (f"criticality_report And(4), H5, H6, co-C10, co-C12, 6-net, K5 prism, G_12, 12 labelings each: "
+            f"{len(graphs)} graphs {_report_digest(graphs)}")
+
+
 def spanning_subgraph_gate() -> str:
     """The graph6 of critical_spanning_subgraph(g) for every graph with
     n <= 7 and for the family graphs."""
@@ -375,7 +393,7 @@ def code_lines(package: Path) -> int:
 
 def main() -> None:
     graph_gates = [report_gate(), random_report_gate(), min_t_gate(), family_report_gate(), orbit_gate(),
-                   large_report_gate(), spanning_subgraph_gate(), solve_sequence_gate(), solve_sequence_gate(range(16, 19), 1618),
+                   large_report_gate(), bench_report_gate(), spanning_subgraph_gate(), solve_sequence_gate(), solve_sequence_gate(range(16, 19), 1618),
                    certificate_gate(),
                    canonical_gate(), refine_gate(), graph6_gate(), induced_gate()]
     for line in labeling_gates() + graph_gates + search_gates() + [stream_gate(), ledger_gate()]:
