@@ -39,11 +39,10 @@ is at least as deep as g - v. Such a v also has min_t None: were v alone
 labeled t in an optimal labeling, deleting v and lowering each label
 above t by one would label g - v feasibly with td(g) - 1 labels (the map
 keeps the order of the labels left, and a path of g - v has none equal
-to t). And the vertex deletions give the depth
-itself: a connected g has td(g) = 1 + min td(g - v), and that minimum
-can be taken over one vertex of each automorphism orbit. So report()
-solves td(g - v) once per vertex orbit and, for a connected g, reads
-td(g) from those depths with no search over the whole vertex set.
+to t). And the vertex deletions give the depth itself: a connected g
+has td(g) = 1 + min td(g - v), and that minimum can be taken over one
+vertex of each automorphism orbit, so the table reads td(g) from those
+depths with no search over the whole vertex set.
 
 Every answer of the table is constant on the orbits of Aut(g). An
 automorphism s of g maps g - uv, g/uv, g - v and the star-clique transform
@@ -51,14 +50,21 @@ at v onto the same operation at s(u)s(v) or s(v), isomorphic to it (and
 g/uv is isomorphic to g/vu, so a contraction asks about an unordered
 edge). It maps a labeling f of g onto f(s^-1), feasible with the same
 labels, in which s(v) carries v's label, alone when v carried it alone;
-so min_t is constant on orbits too. report() asks each single question
+so min_t is constant on orbits too. The table asks each single question
 once per orbit of the group that graphs.automorphisms(g) generates and
 copies the answer to the rest of the orbit. Those generators are checked
 automorphisms, so they generate a subgroup of Aut(g), and each of its
 orbits lies inside an orbit of Aut(g): the copies are exact even when the
-search misses automorphisms, which only costs solves. minor_critical()
-stops at the first minor that keeps the depth, so it keeps its per-edge
-stages.
+search misses automorphisms, which only costs solves.
+
+So the table has one stage order, which the report, the search's screen
+and the single questions all read: the vertex deletions (and with them
+td(g) and the vertices that keep it), the 1-unique flags, the edge
+deletions, the contractions, each once per orbit and past what the
+stages before it settle; then min_t. minor_critical() asks the
+deletions and contractions in the same order, at every vertex and edge
+with no orbits, for it stops at the first minor that keeps the depth; its
+contractions read the flag stage, and a True fills the other stages.
 
 t-uniqueness follows the reading: v is t-unique when some optimal labeling
 (feasible, labels at most td(g)) gives v the label t and no other vertex
@@ -95,7 +101,8 @@ solve: td(g[L]) = 1 iff L is a nonempty independent set.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Iterator, Sequence
+from functools import cached_property
+from typing import Any, Callable, Sequence
 
 from .graphs import Graph, bits, mask_components, orbits
 from .solver import MAX_VERTICES, _MinorSolver, _solver_for
@@ -110,46 +117,85 @@ _TRIPLES = {(u, v, d): (u, v, d) for v in range(MAX_VERTICES) for u in range(v) 
 
 class _MinorTable:
     """Depth drops of the single-step minors of g, its 1-unique flags and
-    its vertices' min_t, as lazy stages. A minor or star-clique transform h
-    has td(h) >= td(g) - 1 (module docstring), so it drops the depth iff
-    its exact depth is below td(g); every exact solve can stop at that
-    floor.
+    its vertices' min_t. A minor or star-clique transform h has
+    td(h) >= td(g) - 1 (module docstring), so it drops the depth iff its
+    exact depth is below td(g); every exact solve can stop at that floor.
 
     Vertex deletions are exact depths on the parent solver of g. Each edge
     deletion, contraction and elimination runs one _MinorSolver on top of
     it, so the subsets that h shares with g are solved once, in the parent.
-    The star-clique flags are solved once per table and settle every
-    contraction at a 1-unique vertex: G/uv is a subgraph of the transform at
-    u and at v. The parent solver comes from _solver_for.
+    The parent solver comes from _solver_for.
 
-    td(g), ``value``, is lazy: the first stage that needs it solves it on
-    the parent solver, unless report() has read it from the vertex
-    deletions first. report() runs its stages in the order vertex
-    deletions (and with them td(g)), flags, edge deletions, contractions,
-    min_t; a vertex whose deletion keeps the depth settles its flag, its
-    min_t and the edges at it (module docstring). ``value``, when given, must be
-    td(g): it seeds the shared memo, as does a depth report() reads.
+    Every caller reads the same lazy stages, each solved on first use and
+    kept, in the order vertex, edge, contraction: keeps (does g - v keep
+    td(g)?) and the 1-unique flags, then the edge deletions, then the
+    contractions. Each stage asks its question once per orbit of
+    automorphisms(g), of vertices or of edges, and copies the answer to the
+    rest of the orbit; the orbits too are found on first use. A vertex
+    that keeps the depth settles its flag (False), its min_t (None) and
+    every edge at it (no drop), and a 1-unique flag settles every
+    contraction at it (a drop; module docstring). report() reads the four
+    stages and adds min_t.
+
+    td(g), ``value``, is lazy: the first use solves it on the parent
+    solver, unless keeps has read it from the vertex deletions first, as
+    1 + their least for a connected g. ``value``, when given, must be
+    td(g): it seeds the shared memo, as does a depth that keeps reads.
     """
 
     def __init__(self, g: Graph, value: int | None = None):
         if g.n == 0:
             raise ValueError("criticality is defined for nonempty graphs")
         self.g, self.full, self.solver = g, g.full_mask(), _solver_for(g.adj)
-        self._value = value
         if value is not None:
-            self.solver.memo[self.full] = value
-        self._flags: tuple[bool, ...] | None = None
-        self._critical = False  # minor_critical() has answered True
+            self.value = self.solver.memo[self.full] = value
 
-    @property
+    @cached_property
     def value(self) -> int:
         """td(g), solved by the parent solver on first use."""
-        if self._value is None:
-            self._value = self.solver.td(self.full)
-        return self._value
+        return self.solver.td(self.full)
+
+    @cached_property
+    def _orbits(self) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+        """orbits(g), then the edges that its edge indices number."""
+        return (*orbits(self.g), self.g.edges())
 
     def _depth(self, adj: Sequence[int], dropped: int = 0) -> int:
         return _MinorSolver(self.solver, adj, dropped).td(self.full ^ dropped)
+
+    @cached_property
+    def keeps(self) -> tuple[bool, ...]:
+        """Does deleting v keep td, at each vertex v? td(g - v) is solved
+        once per vertex orbit; for a connected g whose depth is not yet
+        known, td(g) is 1 + the least of them."""
+        depths = _by_orbit(self._orbits[0], lambda v: self.solver.td(self.full ^ 1 << v))
+        if "value" not in vars(self) and self.g.is_connected():  # td(g) not solved yet
+            self.value = self.solver.memo[self.full] = 1 + min(depths)
+        return tuple(d == self.value for d in depths)
+
+    @cached_property
+    def one_unique(self) -> tuple[bool, ...]:
+        """The 1-unique flag of every vertex: False where the deletion keeps
+        td, else the star-clique test."""
+        keeps = self.keeps
+        return _by_orbit(self._orbits[0], lambda v: not keeps[v] and self._unique_at(v))
+
+    @cached_property
+    def edge_deltas(self) -> tuple[tuple[int, int, int], ...]:
+        """The (u, v, drop) entry of every edge deletion."""
+        return self._edge_table(self.edge_drops)
+
+    @cached_property
+    def contraction_deltas(self) -> tuple[tuple[int, int, int], ...]:
+        """The (u, v, drop) entry of every edge contraction."""
+        return self._edge_table(self.contraction_drops)
+
+    def _edge_table(self, drops: Callable[[int, int], bool]) -> tuple[tuple[int, int, int], ...]:
+        """drops(u, v) once per edge orbit, unless u or v keeps the depth."""
+        keeps, (_, reps, edges) = self.keeps, self._orbits
+        answers = _by_orbit(reps, lambda i: not (keeps[edges[i][0]] or keeps[edges[i][1]])
+                            and drops(*edges[i]))
+        return tuple(_TRIPLES[u, v, int(d)] for (u, v), d in zip(edges, answers))
 
     def edge_drops(self, u: int, v: int) -> bool:
         """Does deleting the edge uv lower td?"""
@@ -158,23 +204,11 @@ class _MinorTable:
         rows[v] ^= 1 << u
         return self._depth(rows) < self.value
 
-    def edge_deletions(self) -> Iterator[tuple[int, int, int]]:
-        for u, v in self.g.edges():
-            yield _TRIPLES[u, v, int(self.edge_drops(u, v))]
-
-    def vertex_drops(self, v: int) -> bool:
-        """Does deleting v lower td?"""
-        return self.solver.td(self.full ^ (1 << v)) < self.value
-
-    def vertex_deletions(self) -> Iterator[int]:
-        for v in range(self.g.n):
-            yield int(self.vertex_drops(v))
-
     def contraction_drops(self, u: int, v: int) -> bool:
         """Does contracting the edge uv lower td? u keeps the merged vertex
         and v is dropped; an edge at a 1-unique vertex drops the depth
         without a solve."""
-        adj, flags = self.g.adj, self.one_unique()
+        adj, flags = self.g.adj, self.one_unique
         if flags[u] or flags[v]:
             return True
         rows = list(adj)
@@ -182,16 +216,6 @@ class _MinorTable:
         for w in bits(rows[u]):
             rows[w] |= 1 << u
         return self._depth(rows, 1 << v) < self.value
-
-    def contractions(self) -> Iterator[tuple[int, int, int]]:
-        for u, v in self.g.edges():
-            yield _TRIPLES[u, v, int(self.contraction_drops(u, v))]
-
-    def one_unique(self) -> tuple[bool, ...]:
-        """The 1-unique flag of every vertex, solved on the first call."""
-        if self._flags is None:
-            self._flags = tuple(map(self._unique_at, range(self.g.n)))
-        return self._flags
 
     def _unique_at(self, v: int) -> bool:
         """Does the star-clique transform at v lower td?"""
@@ -225,7 +249,7 @@ class _MinorTable:
         (td(g[L]), -|L|, L) order. Past T_UNIQUE_MAX_N vertices, where the
         2^(n-1) subsets L are too many to scan, such a v reads None as well.
         """
-        if self.one_unique()[v]:
+        if self.one_unique[v]:
             return 1
         if self.g.n > T_UNIQUE_MAX_N:
             return None
@@ -253,47 +277,28 @@ class _MinorTable:
         return None
 
     def minor_critical(self) -> bool:
-        """Edge, then vertex, then contraction stage, stopping at the first
-        minor that keeps the depth. The contraction stage first solves the
-        1-unique flags, which the caller can then read from the table, and
-        solves only the edges that the flags do not settle. A True is kept:
-        it answers every single-step minor, so report() solves none again."""
-        self._critical = (
-            all(d for _, _, d in self.edge_deletions())
-            and all(self.vertex_deletions())
-            and all(d for _, _, d in self.contractions())
-        )
-        return self._critical
+        """Vertex, then edge, then contraction questions, each asked at
+        every vertex or edge and stopping at the first minor that keeps the
+        depth. A True fills the stages: every single-step minor drops the
+        depth, so report() solves none again. The contractions read the
+        1-unique flags, which the caller can then read from the table too."""
+        g, value, edges = self.g, self.value, self.g.edges()
+        if not all(self.solver.td(self.full ^ 1 << v) < value for v in range(g.n)):
+            return False
+        self.keeps = (False,) * g.n
+        if not (all(self.edge_drops(u, v) for u, v in edges)
+                and all(self.contraction_drops(u, v) for u, v in edges)):
+            return False
+        self.edge_deltas = self.contraction_deltas = tuple(_TRIPLES[u, v, 1] for u, v in edges)
+        return True
 
     def report(self) -> CriticalityReport:
-        """The report of the table's graph. Each single question is asked
-        once per orbit of automorphisms(g), of edges or of vertices, and its
-        answer copied to the rest of the orbit (module docstring). Unless
-        minor_critical() has answered True, the vertex deletions come
-        first, as exact depths td(g - v); for a connected g whose depth is
-        not yet known they give it, as 1 + their least. A vertex whose
-        deletion keeps the depth settles, with no solve, its flag (False),
-        its min_t (None) and every edge at it (no drop). After a True, only
-        the flags and min_t are asked."""
-        g, full = self.g, self.full
-        vertex_reps, edge_reps = orbits(g)
-        edges = g.edges()
-        keeps = (False,) * g.n  # after a True, every single-step minor drops the depth
-        if not self._critical:
-            depths = _by_orbit(vertex_reps, lambda v: self.solver.td(full ^ 1 << v))
-            if self._value is None and g.is_connected():
-                self._value = self.solver.memo[full] = 1 + min(depths)
-            keeps = tuple(d == self.value for d in depths)
-        if self._flags is None:
-            self._flags = _by_orbit(vertex_reps, lambda v: not keeps[v] and self._unique_at(v))
-        ou, value = self._flags, self.value
-        if self._critical:
-            edge_deltas = contraction_deltas = tuple(_TRIPLES[u, v, 1] for u, v in edges)
-        else:
-            def unsettled(drops: Callable[[int, int], bool]) -> Callable[[int, int], bool]:
-                return lambda u, v: not (keeps[u] or keeps[v]) and drops(u, v)
-            edge_deltas = _edge_table(edges, edge_reps, unsettled(self.edge_drops))
-            contraction_deltas = _edge_table(edges, edge_reps, unsettled(self.contraction_drops))
+        """The report of the table's graph, from its stages, plus min_t
+        once per vertex orbit at each vertex whose deletion drops the
+        depth."""
+        g, keeps = self.g, self.keeps  # first, so that a connected g reads td(g) from it
+        ou, value = self.one_unique, self.value
+        edge_deltas, contraction_deltas = self.edge_deltas, self.contraction_deltas
         vertex_deltas = tuple(int(not k) for k in keeps)
         sub_critical = all(d for _, _, d in edge_deltas)
         ind_critical = all(vertex_deltas)
@@ -305,7 +310,7 @@ class _MinorTable:
             contraction_deltas=contraction_deltas,
             vertex_deletion_deltas=vertex_deltas,
             one_unique=ou,
-            min_t=_by_orbit(vertex_reps, lambda v: None if keeps[v] else self.min_t(v)),
+            min_t=_by_orbit(self._orbits[0], lambda v: None if keeps[v] else self.min_t(v)),
             is_minor_critical=minor_critical,
             is_subgraph_critical=sub_critical,
             is_induced_subgraph_critical=ind_critical,
@@ -326,17 +331,9 @@ def _by_orbit(reps: list[int], ask: Callable[[int], Any]) -> tuple:
     return tuple(out)
 
 
-def _edge_table(edges: list[tuple[int, int]], reps: list[int],
-                drops: Callable[[int, int], bool]) -> tuple[tuple[int, int, int], ...]:
-    """The (u, v, delta) entry of each edge, with delta = drops(u, v) asked
-    once per edge orbit; reps as in _by_orbit, over the edge indices."""
-    answers = _by_orbit(reps, lambda i: drops(*edges[i]))
-    return tuple(_TRIPLES[u, v, int(d)] for (u, v), d in zip(edges, answers))
-
-
 def is_one_unique(g: Graph) -> bool:
     """Every vertex 1-unique (vacuously true for the empty graph)."""
-    return g.n == 0 or all(_MinorTable(g).one_unique())
+    return g.n == 0 or all(_MinorTable(g).one_unique)
 
 
 def is_minor_critical(g: Graph) -> bool:

@@ -129,11 +129,12 @@ def _screen_one(job: SearchJob, g6: str) -> _Screened:
     census (``job.n`` set) is its own canonical form.
 
     Stage order: vertex cap, connectivity filter, td == target (the exact solve
-    of the minor table's parent), then the table's edge, vertex and
-    contraction stages, whose 1-unique flags settle every contraction at a
-    1-unique vertex and then serve the 1-uniqueness filter; for hits, the
-    full report from the same table, which solves no minor again after a
-    True from minor_critical().
+    of the minor table's parent), then the table's vertex, edge and
+    contraction questions in minor_critical(), whose contractions read the
+    table's 1-unique flags; the 1-uniqueness filter reads the same flags,
+    settled by the vertices whose deletion keeps td; for hits, the full
+    report from the same table, which solves no minor again after a True
+    from minor_critical().
     """
     g = parse_graph6(g6)
     counts = ["graphs_scanned"]
@@ -148,7 +149,7 @@ def _screen_one(job: SearchJob, g6: str) -> _Screened:
     counts.append("graphs_at_target_td")
     if job.critical and not table.minor_critical():
         return counts, None
-    if job.non_one_unique and all(table.one_unique()):
+    if job.non_one_unique and all(table.one_unique):
         # dropped by the 1-uniqueness filter: under job.critical, a critical
         # graph that is 1-unique
         if job.critical:

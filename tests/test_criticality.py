@@ -66,6 +66,28 @@ def test_one_unique_empty_and_disconnected():
     assert criticality_report(g).one_unique == (False,) * 4
 
 
+def unreduced_rows(table):
+    """The minor table's answers asked at every edge and vertex through its
+    primitives, with no orbits and no settle by a vertex whose deletion
+    keeps the depth: the (u, v, delta) entries of the edge deletions and of
+    the contractions, the vertex deletion deltas and the 1-unique flags.
+    The reference that the table's stages are checked against."""
+    g, full = table.g, table.full
+    edges = g.edges()
+    return (
+        tuple((u, v, int(table.edge_drops(u, v))) for u, v in edges),
+        tuple((u, v, int(table.contraction_drops(u, v))) for u, v in edges),
+        tuple(int(table.solver.td(full ^ 1 << v) < table.value) for v in range(g.n)),
+        tuple(table._unique_at(v) for v in range(g.n)),
+    )
+
+
+def stage_rows(table):
+    """The same four rows read from the table's stages."""
+    return (table.edge_deltas, table.contraction_deltas, tuple(int(not k) for k in table.keeps),
+            table.one_unique)
+
+
 def test_critical_examples():
     assert is_minor_critical(complete(1))
     assert is_minor_critical(complete(5))
@@ -114,13 +136,14 @@ def test_settled_contractions_match_exact_solves_n7():
     checked = 0
     for g in enumerate_graphs(7):
         table = _MinorTable(g)
-        if not all(d for *_, d in table.edge_deletions()) or not all(table.vertex_deletions()):
+        value = table.value
+        vertices_drop = all(table.solver.td(table.full ^ 1 << v) < value for v in range(g.n))
+        if not (vertices_drop and all(table.edge_drops(u, v) for u, v in g.edges())):
             continue
         checked += 1
-        value = table.value
-        assert list(table.contractions()) == [
-            (u, v, value - tree_depth(g.contract_edge(u, v)).value) for u, v in g.edges()
-        ]
+        exact = tuple((u, v, value - tree_depth(g.contract_edge(u, v)).value) for u, v in g.edges())
+        assert tuple((u, v, int(table.contraction_drops(u, v))) for u, v in g.edges()) == exact
+        assert table.contraction_deltas == exact
     assert checked == 24
 
 
@@ -135,19 +158,27 @@ def test_contraction_stage_solves_only_unsettled_edges(monkeypatch):
     monkeypatch.setattr(criticality_module, "_MinorSolver", Recording)
     for g in (complete(5), cycle(5)):
         table = _MinorTable(g)
-        assert table.one_unique() == (True,) * 5
-        assert len(made) == 5  # one star-clique solve per vertex
+        assert table.one_unique == (True,) * 5
+        assert len(made) == 1  # one star-clique solve per vertex orbit
         made.clear()
-        assert list(table.contractions()) == [(u, v, 1) for u, v in g.edges()]
-        assert table.one_unique() == (True,) * 5
+        assert table.contraction_deltas == tuple((u, v, 1) for u, v in g.edges())
+        assert all(table.contraction_drops(u, v) for u, v in g.edges())
+        assert table.one_unique == (True,) * 5
         assert not made
-    # an edge between two vertices that are not 1-unique is solved
+    # an edge between two vertices that are not 1-unique is solved: by the
+    # primitive at every such edge, by the stage once per edge orbit that no
+    # vertex keeping td settles (in P5, the ends keep it; 12 and 23 are
+    # one orbit)
     g = path(5)
     table = _MinorTable(g)
-    flags = table.one_unique()
+    flags = table.one_unique
     made.clear()
-    list(table.contractions())
+    for u, v in g.edges():
+        table.contraction_drops(u, v)
     assert len(made) == sum(1 for u, v in g.edges() if not flags[u] and not flags[v]) > 0
+    made.clear()
+    assert table.contraction_deltas == tuple((u, v, 0) for u, v in g.edges())
+    assert len(made) == 1
 
 
 def test_report_after_a_true_minor_critical_solves_no_minor_again(monkeypatch):
@@ -197,7 +228,7 @@ def test_report_min_t_matches_t_uniqueness():
 
 def test_orbit_reduced_report_matches_the_per_question_table():
     # the report asks each question once per orbit of automorphisms(g); the
-    # table's stages ask it at every edge and vertex. On co-C8..co-C16 and
+    # table's primitives ask it at every edge and vertex. On co-C8..co-C16 and
     # G_8, G_12, G_16 under seeded relabelings, random graphs with
     # n = 8..11, and three regular graphs of each shape in the corpus, where
     # refinement splits no cell
@@ -211,9 +242,7 @@ def test_orbit_reduced_report_matches_the_per_question_table():
         table = _MinorTable(g)
         assert (r.edge_deletion_deltas, r.contraction_deltas, r.vertex_deletion_deltas,
                 r.one_unique, r.min_t) == (
-            tuple(table.edge_deletions()), tuple(table.contractions()),
-            tuple(table.vertex_deletions()), table.one_unique(),
-            tuple(map(table.min_t, range(g.n)))), to_graph6(g)
+            *unreduced_rows(table), tuple(map(table.min_t, range(g.n)))), to_graph6(g)
 
 
 REPORT_FAMILY = (andrasfai(4), h_graph(5), h_graph(6), cycle_complement(10), cycle_complement(12),
@@ -244,8 +273,8 @@ def graphs_that_keep_a_vertex(seed, per_n=3, sizes=range(6, 12)):
 def test_report_matches_a_fresh_per_question_table():
     # the report takes td(g) from its vertex deletions and settles the
     # flag, min_t and edges of a vertex whose deletion keeps td; a table on
-    # a fresh solver asks every question on its own, with td(g) from the
-    # solver's top-level search. td is also checked against the plain
+    # a fresh solver asks every question through its primitives, with td(g)
+    # from the solver's top-level search. td is also checked against the plain
     # recursion
     rng = random.Random(3207)
     graphs = [g.relabeled(rng.sample(range(g.n), g.n)) for g in REPORT_FAMILY for _ in range(2)]
@@ -258,9 +287,7 @@ def test_report_matches_a_fresh_per_question_table():
         table = _MinorTable(g)
         assert (r.td, r.edge_deletion_deltas, r.contraction_deltas, r.vertex_deletion_deltas,
                 r.one_unique, r.min_t) == (
-            table.value, tuple(table.edge_deletions()), tuple(table.contractions()),
-            tuple(table.vertex_deletions()), table.one_unique(),
-            tuple(map(table.min_t, range(g.n)))), to_graph6(g)
+            table.value, *unreduced_rows(table), tuple(map(table.min_t, range(g.n)))), to_graph6(g)
         assert r.td == ref_tree_depth_dp(g.n, g.edges())(frozenset(range(g.n))), to_graph6(g)
 
 
@@ -340,6 +367,44 @@ def test_a_vertex_whose_deletion_keeps_td_settles_its_flag_min_t_and_edges(monke
             assert not minor_operations_at(g, v) & set(made), to_graph6(g)
 
 
+def test_the_flag_stage_solves_no_vertex_whose_deletion_keeps_td(monkeypatch):
+    # the screen of the n = 7 census at td 3 reads the flags of all 129
+    # graphs of that depth; 679 of their 903 vertices keep td when deleted,
+    # and their flags are False with no star-clique solve
+    dropped = []
+
+    class Recording(criticality_module._MinorSolver):
+        def __init__(self, parent, adj, drop=0):
+            super().__init__(parent, adj, drop)
+            dropped.append(drop)
+
+    graphs = [g for g in enumerate_graphs(7) if tree_depth(g).value == 3]
+    kept = [[v for v in range(g.n) if tree_depth(g.delete_vertex(v)).value == 3] for g in graphs]
+    assert len(graphs) == 129 and sum(map(len, kept)) == 679
+    monkeypatch.setattr(criticality_module, "_MinorSolver", Recording)
+    for g, vs in zip(graphs, kept):
+        dropped.clear()
+        flags = _MinorTable(g).one_unique
+        assert not any(flags[v] for v in vs)
+        assert not {1 << v for v in vs} & set(dropped), to_graph6(g)
+
+
+def test_minor_critical_stops_at_a_vertex_that_keeps_td_with_no_minor_solve(monkeypatch):
+    # the vertex deletions come first and are solved on the parent solver
+    made = []
+
+    class Recording(criticality_module._MinorSolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(criticality_module, "_MinorSolver", Recording)
+    pendant = Graph.from_edges(10, h_graph(5).edges() + [(8, 9)])
+    for g in [pendant, path(5), path(6)] + graphs_that_keep_a_vertex(3301, per_n=2):
+        assert not is_minor_critical(g)
+        assert not made, to_graph6(g)
+
+
 def test_reports_share_their_edge_entries():
     # one (u, v, delta) tuple per value, whichever report holds it
     entry = criticality_report(cycle(6)).edge_deletion_deltas[0]
@@ -387,7 +452,7 @@ def test_hub_min_t_is_two_after_one_elimination(monkeypatch):
         for _ in range(12):
             g = h.relabeled(rng.sample(range(h.n), h.n))
             table = _MinorTable(g)
-            flags = table.one_unique()
+            flags = table.one_unique
             assert flags.count(False) == 1
             hub = flags.index(False)
             eliminated.clear()
@@ -477,7 +542,7 @@ def restart_spanning_subgraph(g):
     while True:
         table = _MinorTable(g, value)
         value = table.value
-        spare = next(((u, v) for u, v, d in table.edge_deletions() if not d), None)
+        spare = next(((u, v) for u, v in g.edges() if not table.edge_drops(u, v)), None)
         if spare is None:
             return g
         g = g.delete_edge(*spare)

@@ -51,6 +51,7 @@ from oracles import (
     star_clique_transform,
 )
 
+from test_criticality import stage_rows, unreduced_rows
 from test_graphs import random_graph
 
 
@@ -401,10 +402,10 @@ def _read_in(solver, to):
 def test_memos_are_exact_where_the_surplus_one_bound_fires(monkeypatch):
     # co-C10, co-C12, co-C14 and G_12 have td n - 1, so the surplus-one
     # test settles most scans of their minors. Every memo entry of a minor
-    # table's parent solver and of each minor solver that its per-edge and
-    # per-vertex stages build, for each graph as built and under two seeded
-    # relabelings, against the shortcut-free recursion. The stages solve
-    # every single-step minor, where a report solves one per orbit. A
+    # table's parent solver and of each minor solver that its primitives
+    # build, for each graph as built and under two seeded relabelings,
+    # against the shortcut-free recursion. The primitives solve every
+    # single-step minor, where the stages solve one per orbit. A
     # solver is read back in the built numbering, turned by the rotation
     # symmetry of g that gives the least edge list, so isomorphic minors
     # share one reference. The floor counts the _settle calls behind those
@@ -428,9 +429,8 @@ def test_memos_are_exact_where_the_surplus_one_bound_fires(monkeypatch):
             for v, w in enumerate(perm):
                 back[w] = v
             table = _MinorTable(g.relabeled(perm))
-            for stage in (table.edge_deletions(), table.contractions(), table.vertex_deletions(),
-                          map(table.min_t, range(n))):
-                list(stage)
+            unreduced_rows(table)
+            list(map(table.min_t, range(n)))
             assert made
             for solver in [made[0].parent] + made:
                 edges, to = min(_read_in(solver, [turn[v] for v in back]) for turn in turns)
@@ -640,15 +640,6 @@ def test_surplus_pattern_minimality():
             assert surplus(g.delete_vertex(v)) == 2
 
 
-def _table_rows(table):
-    return (
-        list(table.edge_deletions()),
-        list(table.contractions()),
-        list(table.vertex_deletions()),
-        list(table.one_unique()),
-    )
-
-
 def test_minor_table_matches_exact_minor_solves():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
@@ -656,16 +647,17 @@ def test_minor_table_matches_exact_minor_solves():
             table = _MinorTable(g)
             assert table.value == value
             expected = (
-                [(u, v, value - tree_depth(g.delete_edge(u, v)).value) for u, v in g.edges()],
-                [(u, v, value - tree_depth(g.contract_edge(u, v)).value) for u, v in g.edges()],
-                [value - tree_depth(g.delete_vertex(v)).value for v in range(n)],
-                [tree_depth(star_clique_transform(g, v)).value < value for v in range(n)],
+                tuple((u, v, value - tree_depth(g.delete_edge(u, v)).value) for u, v in g.edges()),
+                tuple((u, v, value - tree_depth(g.contract_edge(u, v)).value) for u, v in g.edges()),
+                tuple(value - tree_depth(g.delete_vertex(v)).value for v in range(n)),
+                tuple(tree_depth(star_clique_transform(g, v)).value < value for v in range(n)),
             )
-            assert _table_rows(table) == expected
+            assert unreduced_rows(table) == stage_rows(table) == expected
             # a table on a fresh parent solver (as critical_spanning_subgraph builds it)
-            assert _table_rows(_MinorTable(g, value)) == expected
+            seeded = _MinorTable(g, value)
+            assert stage_rows(seeded) == unreduced_rows(seeded) == expected
             edge_rows, contraction_rows, vertex_rows, _ = expected
-            drops = [d for *_, d in edge_rows + contraction_rows] + vertex_rows
+            drops = [d for *_, d in edge_rows + contraction_rows] + list(vertex_rows)
             assert set(drops) <= {0, 1}
 
 
@@ -678,7 +670,8 @@ def test_minor_table_leaves_parent_memo_exact():
         solved = _MinorTable(g)
         assert solved.solver.memo[g.full_mask()] == value
         for table in (solved, _MinorTable(g, value)):
-            _table_rows(table)
+            unreduced_rows(table)
+            stage_rows(table)
             for mask, depth in _solved(table.solver.memo):
                 sub = g.induced_subgraph(bits(mask))
                 assert depth == ref_tree_depth(sub.n, sub.edges())
@@ -711,14 +704,21 @@ def test_minor_solver_memos_are_exact(monkeypatch):
     for g in graphs:
         value = tree_depth(g).value
         for table in (_MinorTable(g), _MinorTable(g, value)):
-            for u, v, _ in table.edge_deletions():
+            for u, v in g.edges():
+                table.edge_drops(u, v)
                 entries += check(g.delete_edge(u, v))
-            # the star-clique solvers run first, in vertex order, and their
-            # flags settle every contraction at a 1-unique vertex
-            flags = table.one_unique()
             for v in range(g.n):
+                table._unique_at(v)
                 entries += check(star_clique_transform(g, v), v)
-            for u, v, _ in table.contractions():
+            # the flag stage solves at one vertex per orbit, past those
+            # whose deletion keeps td; its flags settle every contraction at
+            # a 1-unique vertex
+            flags = table.one_unique
+            while made:
+                v = made[0].dropped.bit_length() - 1
+                entries += check(star_clique_transform(g, v), v)
+            for u, v in g.edges():
+                table.contraction_drops(u, v)
                 if not flags[u] and not flags[v]:
                     entries += check(g.contract_edge(u, v), v)
                 assert not made
@@ -817,9 +817,8 @@ def test_elimination_solver_memos_are_exact(monkeypatch):
     entries = 0
     for g in graphs:
         table = _MinorTable(g)
-        flags = table.one_unique()
-        for v in range(g.n):
-            if not flags[v]:
+        for v in range(g.n):  # every vertex's star-clique solver, unsettled
+            if not table._unique_at(v):
                 _depth_then_mask_scan(table, v)
         entries += check(g)
     g = parse_graph6("F@hXw")

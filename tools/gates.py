@@ -121,6 +121,22 @@ def min_t_gate() -> str:
     return f"min_t 8<=n<=10, td>=7: {count} G(n, m) graphs {digest.hexdigest()}"
 
 
+def critical_flags_gate() -> str:
+    """is_minor_critical(g) and is_one_unique(g), one pair of bits per
+    graph, for every graph with n <= 7 and for 150 seeded G(n, m) graphs
+    with 8 <= n <= 10."""
+    rng = random.Random(3302)
+    graphs = list(_graphs_upto(7))
+    for _ in range(150):
+        n = rng.randint(8, 10)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs.append(tdlab.Graph.from_edges(n, rng.sample(pairs, round(rng.choice((0.3, 0.5, 0.7)) * len(pairs)))))
+    text = "".join(f"{tdlab.is_minor_critical(g):d}{tdlab.is_one_unique(g):d}\n" for g in graphs)
+    return (f"is_minor_critical, is_one_unique n<=7 and 150 G(n, m) 8<=n<=10: {len(graphs)} graphs, "
+            f"{text[0::3].count('1')} minor-critical, {text[1::3].count('1')} 1-unique "
+            f"{hashlib.sha256(text.encode()).hexdigest()}")
+
+
 def _family_graphs() -> list[tdlab.Graph]:
     """co-C8..co-C16 and G_8, G_12, G_16: graphs of td n - 1, where the
     solver's surplus-one bound ends most scans."""
@@ -392,7 +408,8 @@ def code_lines(package: Path) -> int:
 
 
 def main() -> None:
-    graph_gates = [report_gate(), random_report_gate(), min_t_gate(), family_report_gate(), orbit_gate(),
+    graph_gates = [report_gate(), random_report_gate(), min_t_gate(), critical_flags_gate(),
+                   family_report_gate(), orbit_gate(),
                    large_report_gate(), bench_report_gate(), spanning_subgraph_gate(), solve_sequence_gate(), solve_sequence_gate(range(16, 19), 1618),
                    certificate_gate(),
                    canonical_gate(), refine_gate(), graph6_gate(), induced_gate()]
