@@ -27,10 +27,8 @@ from .criticality import criticality_report
 from .errors import BudgetError, Graph6Error
 from .families import FAMILIES, PATTERNS, pattern
 from .graphs import GRAPH6_MAX_N, Graph, graph6_lines, parse_edge_lines, parse_graph6, to_graph6
-from .labelings import format_labeling, parse_labeling, verify_feasible
 from .search import ENUM_MAX_N, SearchJob, run_search
 from .solver import MAX_VERTICES, tree_depth
-from .verify import verify_paper
 
 
 class UsageError(Exception):
@@ -53,6 +51,8 @@ def _read_graph(path: str | None) -> Graph:
 
 
 def _cmd_td(args: argparse.Namespace) -> int:
+    from .labelings import format_labeling  # labelings and verify load with the commands that use them
+
     g = _read_graph(args.input)
     witness = tree_depth(g)
     if args.json:
@@ -68,6 +68,8 @@ def _cmd_td(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_labeling(args: argparse.Namespace) -> int:
+    from .labelings import parse_labeling, verify_feasible
+
     g = _read_graph(args.input)
     labels = parse_labeling(args.labeling)
     if len(labels) != g.n:
@@ -153,6 +155,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
+    from .verify import verify_paper
+
     results = verify_paper(args.level)
     if args.json:
         print(json.dumps([

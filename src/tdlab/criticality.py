@@ -101,7 +101,6 @@ solve: td(g[L]) = 1 iff L is a nonempty independent set.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Any, Callable, Sequence
 
 from .graphs import Graph, bits, mask_components, orbits
@@ -113,6 +112,22 @@ T_UNIQUE_MAX_N = 10  # min_t scans the 2^(n-1) subsets of V - v past the flags
 # that kept reports (a search keeps one per distinct hit) share them: 600
 # tuples, where each report's own would take most of its memory.
 _TRIPLES = {(u, v, d): (u, v, d) for v in range(MAX_VERTICES) for u in range(v) for d in (0, 1)}
+
+
+class _stage:
+    """A lazy stage of _MinorTable: the method runs on the first read and
+    its value is kept in the instance dict, which later reads find first.
+    An assignment puts a value there without running it. Unlike
+    functools.cached_property, it takes no lock."""
+
+    def __init__(self, fn: Callable[[Any], Any]):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, table: Any, owner: type | None = None) -> Any:
+        if table is None:
+            return self
+        value = vars(table)[self.name] = self.fn(table)
+        return value
 
 
 class _MinorTable:
@@ -150,12 +165,12 @@ class _MinorTable:
         if value is not None:
             self.value = self.solver.memo[self.full] = value
 
-    @cached_property
+    @_stage
     def value(self) -> int:
         """td(g), solved by the parent solver on first use."""
         return self.solver.td(self.full)
 
-    @cached_property
+    @_stage
     def _orbits(self) -> tuple[list[int], list[int], list[tuple[int, int]]]:
         """orbits(g), then the edges that its edge indices number."""
         return (*orbits(self.g), self.g.edges())
@@ -163,7 +178,7 @@ class _MinorTable:
     def _depth(self, adj: Sequence[int], dropped: int = 0) -> int:
         return _MinorSolver(self.solver, adj, dropped).td(self.full ^ dropped)
 
-    @cached_property
+    @_stage
     def keeps(self) -> tuple[bool, ...]:
         """Does deleting v keep td, at each vertex v? td(g - v) is solved
         once per vertex orbit; for a connected g whose depth is not yet
@@ -173,19 +188,19 @@ class _MinorTable:
             self.value = self.solver.memo[self.full] = 1 + min(depths)
         return tuple(d == self.value for d in depths)
 
-    @cached_property
+    @_stage
     def one_unique(self) -> tuple[bool, ...]:
         """The 1-unique flag of every vertex: False where the deletion keeps
         td, else the star-clique test."""
         keeps = self.keeps
         return _by_orbit(self._orbits[0], lambda v: not keeps[v] and self._unique_at(v))
 
-    @cached_property
+    @_stage
     def edge_deltas(self) -> tuple[tuple[int, int, int], ...]:
         """The (u, v, drop) entry of every edge deletion."""
         return self._edge_table(self.edge_drops)
 
-    @cached_property
+    @_stage
     def contraction_deltas(self) -> tuple[tuple[int, int, int], ...]:
         """The (u, v, drop) entry of every edge contraction."""
         return self._edge_table(self.contraction_drops)

@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache, partial
 from itertools import chain, islice
-from multiprocessing import Pool
 from typing import Any, Iterator
 
 from .criticality import CriticalityReport, _MinorTable
@@ -70,8 +69,9 @@ class SearchJob:
     vertex cap, MAX_VERTICES, is recorded as a skip and fails the run
     unless ``allow_skips`` is set.
     ``threads`` > 1 screens in a pool of that many worker processes, but
-    no more than one per core or one per line. Every worker task carries
-    the job itself, without ``graph6_lines``."""
+    no more than one per core or one per line; the first such search
+    imports ``multiprocessing``, which a serial one never loads. Every
+    worker task carries the job itself, without ``graph6_lines``."""
 
     td_target: int
     n: int | None = None
@@ -197,6 +197,15 @@ def _config_hash(job: SearchJob, descriptor: str) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+
+
+def Pool(processes: int) -> Any:
+    """multiprocessing.Pool, imported on the first pooled search: the
+    module costs a serial search (the census, the CLI's default) start-up
+    time and memory for nothing."""
+    from multiprocessing import Pool
+
+    return Pool(processes)
 
 
 def _screened(job: SearchJob, lines: Iterator[str]) -> Iterator[_Screened]:
